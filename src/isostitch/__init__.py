@@ -12,20 +12,19 @@ from .design_graph import (Cycle, MotifCensus, build_components, cycle_matches,
 from .errors import (CalibrationError, InvalidOrderError, IsostitchError,
                      NotAStitchLineError, OverlapTooSmallError, WindowError,
                      WordError)
-from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, VISITED, Family,
-                   GridConvention, LineId, SegmentId, Window, is_line_present,
-                   lines_through, present_line_ordinal, segment_between,
-                   segment_direction, segment_endpoints, vertex_degree_class,
-                   vertex_to_cartesian)
+from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, PRESENCE_PARITY,
+                   VISITED, Family, GridConvention, LineId, SegmentId, Window,
+                   is_line_present, lines_through, present_line_ordinal,
+                   segment_between, segment_direction, segment_endpoints,
+                   vertex_degree_class, vertex_to_cartesian)
 from .koch_oracle import (KochPolygon, VerificationResult, koch_directions,
-                          koch_polygon, replace_runs, scale_directions,
-                          verify_koch)
+                          koch_polygon, phase_period, replace_runs,
+                          scale_directions, verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import (Design, DirectionSpec, StitchPattern, dual,
                        generate_design, is_front, line_bit)
 from .symmetry import (LatticeIsometry, classify_wallpaper, is_self_dual,
-                       is_symmetry, pattern_period, period_cell,
-                       translation_basis)
+                       is_symmetry, period_cell, translation_basis)
 from .words import (Word, complement, concat, koch_word, minimal_period,
                     palindromic_period, reverse)
 
@@ -35,18 +34,19 @@ __all__ = [
     "motif_census", "motif_signature",
     "CalibrationError", "InvalidOrderError", "IsostitchError",
     "NotAStitchLineError", "OverlapTooSmallError", "WindowError", "WordError",
-    "DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "VISITED", "Family",
+    "DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "PRESENCE_PARITY", "VISITED",
+    "Family",
     "GridConvention", "LineId", "SegmentId", "Window", "is_line_present",
     "lines_through", "present_line_ordinal", "segment_between",
     "segment_direction", "segment_endpoints", "vertex_degree_class",
     "vertex_to_cartesian",
     "KochPolygon", "VerificationResult", "koch_directions", "koch_polygon",
-    "replace_runs", "scale_directions", "verify_koch",
+    "phase_period", "replace_runs", "scale_directions", "verify_koch",
     "RenderOptions", "to_svg",
     "Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
     "is_front", "line_bit",
     "LatticeIsometry", "classify_wallpaper", "is_self_dual", "is_symmetry",
-    "pattern_period", "period_cell", "translation_basis",
+    "period_cell", "translation_basis",
     "Word", "complement", "concat", "koch_word", "minimal_period",
     "palindromic_period", "reverse",
 ]

@@ -10,15 +10,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .design_graph import Cycle, MotifCensus, motif_census, motif_signature
 from .errors import CalibrationError, InvalidOrderError, IsostitchError, \
     OverlapTooSmallError, WindowError, WordError
-from .grid import DEFAULT_CONVENTION, EMPTY, Family, GridConvention, Window, \
+from .grid import EMPTY, PRESENCE_PARITY, Family, GridConvention, Window, \
     segment_endpoints, vertex_degree_class
-from .koch_oracle import VerificationResult, koch_polygon, verify_koch
+from .koch_oracle import VerificationResult, koch_polygon, phase_period, verify_koch
 from .render import RenderOptions, to_svg
 from .stitcher import Design, DirectionSpec, StitchPattern, dual, generate_design
 from .symmetry import LatticeIsometry, classify_wallpaper, is_self_dual, period_cell
@@ -66,15 +65,17 @@ def _spec_from_dict(d: dict) -> DirectionSpec:
 
 def _pattern_to_dict(p: StitchPattern) -> dict:
     return {"directions": [_spec_to_dict(s) for s in p.specs],
-            "convention": {"presence_parity": list(p.convention.presence_parity),
+            "convention": {"presence_parity": list(PRESENCE_PARITY),
                            "phase_base": list(p.convention.phase_base),
                            "phase_slope": list(p.convention.phase_slope)}}
 
 
 def _pattern_from_dict(d: dict) -> StitchPattern:
     c = d["convention"]
-    conv = GridConvention(presence_parity=tuple(c["presence_parity"]),
-                          phase_base=tuple(c["phase_base"]),
+    if tuple(c["presence_parity"]) != PRESENCE_PARITY:
+        raise WordError(f"presence parity must be {list(PRESENCE_PARITY)}, "
+                        f"got {c['presence_parity']}")
+    conv = GridConvention(phase_base=tuple(c["phase_base"]),
                           phase_slope=tuple(c["phase_slope"]))
     return StitchPattern(specs=tuple(_spec_from_dict(s) for s in d["directions"]),
                          convention=conv)
@@ -84,13 +85,6 @@ def iso_to_dict(iso: LatticeIsometry) -> dict:
     return {"role": iso.role, "rotation": iso.rotation, "reflect": iso.reflect,
             "translation": list(iso.translation),
             "center": None if iso.center is None else [str(c) for c in iso.center]}
-
-
-def _iso_from_dict(d: dict) -> LatticeIsometry:
-    center = None if d["center"] is None else tuple(Fraction(c) for c in d["center"])
-    return LatticeIsometry(rotation=d["rotation"], reflect=d["reflect"],
-                           translation=tuple(d["translation"]), center=center,
-                           role=d["role"])
 
 
 def _koch_to_dict(res: VerificationResult) -> dict:
@@ -324,15 +318,19 @@ def cmd_verify_koch(args) -> int:
         print(f"order {args.order}: found ({3 * 4 ** args.order} segments, "
               f"phases {phase_text})")
         return 0
-    print(f"order {args.order}: not found (phases tried up to {phase_text})")
+    if args.phase_search:
+        searched = f"searched {phase_period(args.order) ** 2} phase candidates"
+    else:
+        searched = f"tried phases {phase_text}"
+    print(f"order {args.order}: not found ({searched})")
     return NOT_FOUND
 
 
 # -------------------------------------------------------------- calibrate
 
-def calibrate(window: Window | None = None) -> tuple[GridConvention, list[GridConvention]]:
+def calibrate() -> tuple[GridConvention, list[GridConvention]]:
     """Brute-force the 64 stitch anchoring conventions (phase base and slope
-    per direction; presence parity is forced by the empty-vertex picture).
+    per direction; presence parity is the fixed grid.PRESENCE_PARITY).
 
     A convention is accepted when the all-constant-0 design on a 40x40
     window has degree-2 and quarter-empty invariants, a front census that is
@@ -340,15 +338,14 @@ def calibrate(window: Window | None = None) -> tuple[GridConvention, list[GridCo
     mirrors. Returns the lexicographically least accepting convention plus
     the whole accepting list.
     """
-    win = window or Window(0, 39, 0, 39)
+    win = Window(0, 39, 0, 39)
     hexagram_sig = motif_signature(koch_polygon(1).cycle)
     accepted = []
     for base_bits in range(8):
         for slope_bits in range(8):
             base = tuple((base_bits >> f) & 1 for f in range(3))
             slope = tuple((slope_bits >> f) & 1 for f in range(3))
-            conv = GridConvention(presence_parity=DEFAULT_CONVENTION.presence_parity,
-                                  phase_base=base, phase_slope=slope)
+            conv = GridConvention(phase_base=base, phase_slope=slope)
             pattern = StitchPattern.uniform(DirectionSpec.constant(0), convention=conv)
             design = generate_design(win, pattern)
             inv = invariant_results(design)
@@ -372,7 +369,7 @@ def cmd_calibrate(args) -> int:
     for conv in accepted:
         print(f"accepting: base={conv.phase_base} slope={conv.phase_slope}")
     print(f"calibrated: base={chosen.phase_base} slope={chosen.phase_slope} "
-          f"(presence parity {chosen.presence_parity})")
+          f"(presence parity {PRESENCE_PARITY})")
     return 0
 
 

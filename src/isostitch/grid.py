@@ -8,8 +8,11 @@ The three line families and their integer coordinates through (i, j):
     family C: direction (-1/2, r3/2),  line coordinate c = i + j
 
 so c = a + b always. A design is "dilute" when only every second line of each
-family carries stitches; with presence parities (A, B, C) = (0, 0, 1) every
-vertex lies on exactly 0 or 2 present lines.
+family carries stitches: line k of family F is present when
+k % 2 == PRESENCE_PARITY[F]. The presence parity is fixed at (0, 0, 1), so
+every vertex lies on exactly 0 or 2 present lines; only the stitch
+alternation (phase base and slope) is a convention, and `calibrate` varies
+just that.
 """
 from __future__ import annotations
 
@@ -44,16 +47,18 @@ class SegmentId(NamedTuple):
     s: int
 
 
-class GridConvention(NamedTuple):
-    """Parity conventions fixing presence of lines and stitch alternation.
+PRESENCE_PARITY: tuple[int, int, int] = (0, 0, 1)
+MAX_WINDOW_VERTICES = 20_000_000
 
-    presence_parity picks which alternate lines are present per family.
+
+class GridConvention(NamedTuple):
+    """Parity conventions fixing stitch alternation on the present lines.
+
     phase_base/phase_slope anchor how stitch alternation on one present line
     relates to the next; their default values come from the calibration
     search (cli module) and are frozen here.
     """
 
-    presence_parity: tuple[int, int, int] = (0, 0, 1)
     phase_base: tuple[int, int, int] = (0, 0, 0)
     phase_slope: tuple[int, int, int] = (1, 1, 1)
 
@@ -95,11 +100,11 @@ class Window(NamedTuple):
             for j in range(self.j_min, self.j_max + 1):
                 yield (i, j)
 
-    def validate(self, max_vertices: int = 20_000_000) -> "Window":
+    def validate(self) -> "Window":
         if self.i_min > self.i_max or self.j_min > self.j_max:
             raise WindowError(f"degenerate window {self}")
-        if self.vertex_count() > max_vertices:
-            raise WindowError(f"window {self} exceeds {max_vertices} vertices")
+        if self.vertex_count() > MAX_WINDOW_VERTICES:
+            raise WindowError(f"window {self} exceeds {MAX_WINDOW_VERTICES} vertices")
         return self
 
 
@@ -113,25 +118,25 @@ def lines_through(v: tuple[int, int]) -> tuple[LineId, LineId, LineId]:
     return (LineId(Family.A, j), LineId(Family.B, i), LineId(Family.C, i + j))
 
 
-def is_line_present(line: LineId, conv: GridConvention = DEFAULT_CONVENTION) -> bool:
-    return line.k % 2 == conv.presence_parity[line.family]
+def is_line_present(line: LineId) -> bool:
+    return line.k % 2 == PRESENCE_PARITY[line.family]
 
 
-def present_line_ordinal(line: LineId, conv: GridConvention = DEFAULT_CONVENTION) -> int:
+def present_line_ordinal(line: LineId) -> int:
     """Index of a present line among the present lines of its family, so
     consecutive present lines get consecutive ordinals."""
-    if not is_line_present(line, conv):
+    if not is_line_present(line):
         raise NotAStitchLineError(f"line {line} carries no stitching")
-    return (line.k - conv.presence_parity[line.family]) // 2
+    return (line.k - PRESENCE_PARITY[line.family]) // 2
 
 
-def vertex_degree_class(v: tuple[int, int], conv: GridConvention = DEFAULT_CONVENTION) -> str:
-    n = sum(1 for line in lines_through(v) if is_line_present(line, conv))
+def vertex_degree_class(v: tuple[int, int]) -> str:
+    n = sum(1 for line in lines_through(v) if is_line_present(line))
     if n == 0:
         return EMPTY
     if n == 2:
         return VISITED
-    raise AssertionError(f"convention {conv} places {v} on {n} present lines")
+    raise AssertionError(f"presence parity {PRESENCE_PARITY} places {v} on {n} present lines")
 
 
 def segment_endpoints(seg: SegmentId) -> tuple[tuple[int, int], tuple[int, int]]:

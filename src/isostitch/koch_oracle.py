@@ -128,6 +128,12 @@ def _design_contains_polygon(design: Design, length: int, target_sig) -> Cycle |
     return None
 
 
+def phase_period(order: int) -> int:
+    """Period of the order-n palindromic word sequence, hence the number of
+    distinct phases per family that verify_koch's phase search scans."""
+    return 2 * 3 ** (order - 1)
+
+
 def verify_koch(order: int, window: Window, phase_search: bool = True,
                 phases: tuple[int, int, int] = (0, 0, 0)) -> VerificationResult:
     """Does the order-n word design contain the order-n snowflake?
@@ -153,7 +159,7 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
 
     target_sig = motif_signature(polygon.cycle)
     length = polygon.segment_count
-    period = 2 * 3 ** (order - 1)
+    period = phase_period(order)
     if phase_search:
         candidates = ((0, b, c) for b in range(period) for c in range(period))
     else:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WordError
-from .grid import (DEFAULT_CONVENTION, Family, GridConvention, LineId,
-                   SegmentId, Window, is_line_present, present_line_ordinal)
+from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
+                   LineId, SegmentId, Window, present_line_ordinal)
 from .words import Word, koch_word, palindromic_period
 
 CONSTANT = "constant"
@@ -79,14 +79,14 @@ class StitchPattern:
 
 def line_bit(line: LineId, pattern: StitchPattern) -> int:
     spec = pattern.specs[line.family]
-    m = present_line_ordinal(line, pattern.convention)
+    m = present_line_ordinal(line)
     return spec.bit_sequence().cyclic(m + spec.phase)
 
 
 def is_front(seg: SegmentId, pattern: StitchPattern) -> bool:
     f, k, s = seg
     conv = pattern.convention
-    m = present_line_ordinal(LineId(f, k), conv)
+    m = present_line_ordinal(LineId(f, k))
     bit = line_bit(LineId(f, k), pattern)
     return (s + conv.phase_base[f] + conv.phase_slope[f] * m + bit) % 2 == 1
 
@@ -139,7 +139,7 @@ def generate_design(window: Window, pattern: StitchPattern) -> Design:
     for f in (Family.A, Family.B, Family.C):
         spec = pattern.specs[f]
         seq = spec.bit_sequence()
-        parity = conv.presence_parity[f]
+        parity = PRESENCE_PARITY[f]
         base, slope = conv.phase_base[f], conv.phase_slope[f]
         for k, s_lo, s_hi in _line_ranges(window, f, parity):
             m = (k - parity) // 2

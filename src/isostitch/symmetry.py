@@ -21,7 +21,6 @@ from math import cos, gcd, pi, sin
 from .errors import OverlapTooSmallError
 from .grid import SQRT3_2, Family, SegmentId, Window, segment_between, segment_endpoints
 from .stitcher import Design, StitchPattern
-from .words import minimal_period
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -50,6 +49,11 @@ def point_matrix(rotation: int, reflect: bool) -> Matrix:
     return _matmul(ROTATIONS[rotation % 6], MIRROR_X) if reflect else ROTATIONS[rotation % 6]
 
 
+def _apply(m: Matrix, t: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return (m[0][0] * v[0] + m[0][1] * v[1] + t[0],
+            m[1][0] * v[0] + m[1][1] * v[1] + t[1])
+
+
 @dataclass(frozen=True)
 class LatticeIsometry:
     rotation: int = 0
@@ -62,22 +66,7 @@ class LatticeIsometry:
         return point_matrix(self.rotation, self.reflect)
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        m, t = self.matrix(), self.translation
-        return (m[0][0] * v[0] + m[0][1] * v[1] + t[0],
-                m[1][0] * v[0] + m[1][1] * v[1] + t[1])
-
-
-WALLPAPER_GROUPS = ("p1", "p2", "p3", "p3m1", "p31m", "p6", "p6mm",
-                    "cm", "cmm", "pm", "pg", "pmm", "pmg", "pgg",
-                    "p4", "p4m", "p4g", "Unknown")
-
-
-def pattern_period(pattern: StitchPattern) -> dict[int, int]:
-    """Minimal period of each family's bit sequence over present-line
-    ordinals. The design repeats when every family's lines shift by a
-    multiple of its period (possibly combined across families)."""
-    return {int(f): minimal_period(pattern.specs[f].bit_sequence())
-            for f in (Family.A, Family.B, Family.C)}
+        return _apply(self.matrix(), self.translation, v)
 
 
 def _row_shift_period(pattern: StitchPattern, f: int) -> int:
@@ -114,11 +103,6 @@ def translation_basis(pattern: StitchPattern) -> tuple[tuple[int, int], tuple[in
 def period_cell(pattern: StitchPattern) -> tuple[int, int]:
     g1, g2 = translation_basis(pattern)
     return g1[0], g2[1]
-
-
-def _apply(m: Matrix, t: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    return (m[0][0] * v[0] + m[0][1] * v[1] + t[0],
-            m[1][0] * v[0] + m[1][1] * v[1] + t[1])
 
 
 def _invert(m: Matrix, t: tuple[int, int]) -> tuple[Matrix, tuple[int, int]]:
@@ -174,39 +158,37 @@ def _segment_sets_match(source: frozenset[SegmentId], target: frozenset[SegmentI
     return True
 
 
+def _maps_front_onto(design: Design, iso: LatticeIsometry,
+                     target: frozenset[SegmentId]) -> bool:
+    """Does iso map the front stitches exactly onto target (the front or the
+    back) on the window overlap? Raises OverlapTooSmallError unless the
+    overlap contains at least one full period cell."""
+    m, t = iso.matrix(), iso.translation
+    cell = period_cell(design.pattern)
+    if not _overlap_has_cell(design.window, m, t, cell):
+        raise OverlapTooSmallError(
+            f"overlap of {design.window} with its image leaves no {cell} period cell")
+    return _segment_sets_match(design.front, target, design.window, m, t)
+
+
 def is_symmetry(design: Design, iso: LatticeIsometry) -> bool:
     """Certify that iso maps the front stitches exactly onto themselves on
     the window overlap. Requires the overlap to contain at least one full
     period cell; raises OverlapTooSmallError otherwise. The identity is a
     symmetry of any design."""
-    m, t = iso.matrix(), iso.translation
-    if m == IDENTITY and t == (0, 0):
+    if iso.matrix() == IDENTITY and iso.translation == (0, 0):
         return True
-    cell = period_cell(design.pattern)
-    if not _overlap_has_cell(design.window, m, t, cell):
-        raise OverlapTooSmallError(
-            f"overlap of {design.window} with its image leaves no {cell} period cell")
-    return _segment_sets_match(design.front, design.front, design.window, m, t)
+    return _maps_front_onto(design, iso, design.front)
 
 
-def _maps_front_to_back(design: Design, m: Matrix, t: tuple[int, int]) -> bool:
-    cell = period_cell(design.pattern)
-    if not _overlap_has_cell(design.window, m, t, cell):
-        raise OverlapTooSmallError(
-            f"overlap of {design.window} with its image leaves no {cell} period cell")
-    return _segment_sets_match(design.front, design.back, design.window, m, t)
-
-
-def _rotation_about(step: int, c: tuple[Fraction, Fraction]) -> LatticeIsometry | None:
-    """Rotation by step*60 degrees about c, when that is a lattice isometry
-    (integer translation part)."""
-    m = ROTATIONS[step]
-    tx = c[0] - (m[0][0] * c[0] + m[0][1] * c[1])
-    ty = c[1] - (m[1][0] * c[0] + m[1][1] * c[1])
+def _fixing(rotation: int, reflect: bool, c: tuple) -> LatticeIsometry | None:
+    """The isometry with point part (rotation, reflect) that fixes the point
+    c, centered at c; None when its translation part is not integral."""
+    mc = _apply(point_matrix(rotation, reflect), (0, 0), c)
+    tx, ty = c[0] - mc[0], c[1] - mc[1]
     if tx.denominator != 1 or ty.denominator != 1:
         return None
-    return LatticeIsometry(rotation=step, reflect=False,
-                           translation=(int(tx), int(ty)), center=c)
+    return LatticeIsometry(rotation, reflect, (int(tx), int(ty)), center=c)
 
 
 def _candidate_centers(cell: tuple[int, int], kinds: str, anchor: tuple[int, int]):
@@ -238,6 +220,23 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
+def _in_image_lattice(lattice: tuple[tuple[int, int], list[int]],
+                      w: tuple[int, int]) -> bool:
+    """Is w in (M + I) * Lambda, given _Engine._image_lattice(M)?"""
+    u, coef = lattice
+    if u == (0, 0):
+        return w == (0, 0)
+    g = gcd(coef[0], coef[1])
+    if w == (0, 0):
+        return True
+    if w[0] * u[1] != w[1] * u[0]:
+        return False
+    mm = w[0] // u[0] if u[0] else w[1] // u[1]
+    if (mm * u[0], mm * u[1]) != w:
+        return False
+    return g != 0 and mm % g == 0
+
+
 class _Engine:
     """Bounded symmetry search for one design side."""
 
@@ -248,51 +247,43 @@ class _Engine:
         win = design.window
         self.anchor = ((win.i_min + win.i_max) // 2, (win.j_min + win.j_max) // 2)
 
-    def check(self, iso: LatticeIsometry) -> bool:
-        return is_symmetry(self.design, iso)
-
     def rotation_hits(self) -> tuple[int, list[LatticeIsometry]]:
         """Maximal rotation order and every verified center at that order."""
         for step, order, kinds in ((1, 6, "v"), (2, 3, "vt"), (3, 2, "ve")):
             hits = []
             for c in _candidate_centers(self.cell, kinds, self.anchor):
-                iso = _rotation_about(step, c)
-                if iso is not None and self.check(iso):
+                iso = _fixing(step, False, c)
+                if iso is not None and is_symmetry(self.design, iso):
                     hits.append(iso)
             if hits:
                 return order, hits
         return 1, []
-
-    def _centered_translation(self, m: Matrix) -> tuple[int, int]:
-        """Translation part aiming the fixed locus of m at the window
-        middle, so certified overlaps exist on off-center windows too."""
-        cx, cy = self.anchor
-        return (cx - (m[0][0] * cx + m[0][1] * cy),
-                cy - (m[1][0] * cx + m[1][1] * cy))
 
     def reflection_survey(self) -> dict[int, dict[str, LatticeIsometry]]:
         """Per axis direction r (axis angle 30*r degrees): a verified mirror
         and/or proper glide witness, when they exist.
 
         Translation parts are scanned over one period cell around the value
-        that parks the axis at the window middle; a hit whose doubled glide
-        vector t + M t lies in (M + I) * Lambda is equivalent, modulo
-        lattice translations, to a pure mirror on a parallel axis."""
+        that parks the axis at the window middle, so certified overlaps exist
+        on off-center windows too; a hit whose doubled glide vector t + M t
+        lies in (M + I) * Lambda is equivalent, modulo lattice translations,
+        to a pure mirror on a parallel axis."""
         out: dict[int, dict[str, LatticeIsometry]] = {}
         for r in range(6):
             m = point_matrix(r, True)
-            bt = self._centered_translation(m)
+            lattice = self._image_lattice(m)
+            bt = _fixing(r, True, self.anchor).translation
             found: dict[str, LatticeIsometry] = {}
             for ti in range(self.cell[0]):
                 for tj in range(self.cell[1]):
                     t = (bt[0] + ti, bt[1] + tj)
                     iso = LatticeIsometry(rotation=r, reflect=True, translation=t)
-                    if not self.check(iso):
+                    if not is_symmetry(self.design, iso):
                         continue
                     w = _apply(m, t, t)
-                    if self._in_image_lattice(m, w):
+                    if _in_image_lattice(lattice, w):
                         if "mirror" not in found:
-                            found["mirror"] = self._pure_mirror(r, m, t, w)
+                            found["mirror"] = self._pure_mirror(r, m, t, w, lattice)
                     elif "glide" not in found:
                         found["glide"] = iso
                 if len(found) == 2:
@@ -317,38 +308,24 @@ class _Engine:
             coef.append(vx // ux if ux else vy // uy)
         return (ux, uy), coef
 
-    def _in_image_lattice(self, m: Matrix, w: tuple[int, int]) -> bool:
-        u, coef = self._image_lattice(m)
-        if u == (0, 0):
-            return w == (0, 0)
-        g = gcd(coef[0], coef[1])
-        if w == (0, 0):
-            return True
-        if w[0] * u[1] != w[1] * u[0]:
-            return False
-        mm = w[0] // u[0] if u[0] else w[1] // u[1]
-        if (mm * u[0], mm * u[1]) != w:
-            return False
-        return g != 0 and mm % g == 0
-
-    def _kernel_vector(self, m: Matrix) -> tuple[int, int]:
+    def _kernel_vector(self, coef: list[int]) -> tuple[int, int]:
         """Primitive lattice vector annihilated by M + I (the perpendicular
-        direction of a reflection axis). Shifting a pure mirror by it moves
-        the axis without reintroducing a glide component."""
-        u, coef = self._image_lattice(m)
+        direction of a reflection axis), from the basis-image coefficients
+        of _image_lattice(M). Shifting a pure mirror by it moves the axis
+        without reintroducing a glide component."""
         g = gcd(coef[0], coef[1]) or 1
         x, y = coef[1] // g, -coef[0] // g
         return (x * self.basis[0][0] + y * self.basis[1][0],
                 x * self.basis[0][1] + y * self.basis[1][1])
 
-    def _pure_mirror(self, r: int, m: Matrix, t: tuple[int, int],
-                     w: tuple[int, int]) -> LatticeIsometry:
+    def _pure_mirror(self, r: int, m: Matrix, t: tuple[int, int], w: tuple[int, int],
+                     lattice: tuple[tuple[int, int], list[int]]) -> LatticeIsometry:
         """Shift a mirror-class hit by a lattice translation so its glide
         vector vanishes; the fixed axis then passes through t'/2."""
+        u, coef = lattice
         if w == (0, 0):
             lam = (0, 0)
         else:
-            u, coef = self._image_lattice(m)
             g, x0, y0 = _egcd(coef[0], coef[1])
             mm = w[0] // u[0] if u[0] else w[1] // u[1]
             f = -mm // g
@@ -356,14 +333,14 @@ class _Engine:
             lam = (x * self.basis[0][0] + y * self.basis[1][0],
                    x * self.basis[0][1] + y * self.basis[1][1])
         tt = (t[0] + lam[0], t[1] + lam[1])
-        n = self._kernel_vector(m)
+        n = self._kernel_vector(coef)
         if n != (0, 0):
             tt = min(((tt[0] + k * n[0], tt[1] + k * n[1]) for k in range(-12, 13)),
                      key=lambda v: (self._axis_to_anchor(r, v), v))
         assert _apply(m, tt, tt) == (0, 0), "glide vector did not cancel"
         center = (Fraction(tt[0], 2), Fraction(tt[1], 2))
         iso = LatticeIsometry(rotation=r, reflect=True, translation=tt, center=center)
-        assert self.check(iso)
+        assert is_symmetry(self.design, iso)
         return iso
 
     def _axis_to_anchor(self, r: int, t: tuple[int, int]) -> float:
@@ -379,14 +356,8 @@ class _Engine:
     def on_mirror(self, c: tuple[Fraction, Fraction]) -> bool:
         """Does some verified mirror axis pass through the point c?"""
         for r in range(6):
-            m = point_matrix(r, True)
-            tx = c[0] - (m[0][0] * c[0] + m[0][1] * c[1])
-            ty = c[1] - (m[1][0] * c[0] + m[1][1] * c[1])
-            if tx.denominator != 1 or ty.denominator != 1:
-                continue
-            iso = LatticeIsometry(rotation=r, reflect=True,
-                                  translation=(int(tx), int(ty)), center=c)
-            if self.check(iso):
+            iso = _fixing(r, True, c)
+            if iso is not None and is_symmetry(self.design, iso):
                 return True
         return False
 
@@ -470,11 +441,11 @@ def is_self_dual(design: Design) -> tuple[bool, LatticeIsometry | None]:
     eng = _Engine(design)
     for reflect in (False, True):
         for rotation in range(6):
-            bt = eng._centered_translation(point_matrix(rotation, reflect))
+            bt = _fixing(rotation, reflect, eng.anchor).translation
             for ti in range(eng.cell[0]):
                 for tj in range(eng.cell[1]):
                     iso = LatticeIsometry(rotation, reflect, (bt[0] + ti, bt[1] + tj),
                                           role="self-dual")
-                    if _maps_front_to_back(design, iso.matrix(), iso.translation):
+                    if _maps_front_onto(design, iso, design.back):
                         return True, iso
     return False, None

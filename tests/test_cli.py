@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from isostitch import VerificationResult, WordError, cli
 from isostitch.cli import report_from_dict, report_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, cwd=None):
@@ -82,6 +86,23 @@ def test_analyze_report_round_trips(tmp_path):
                    "--report", str(report)).returncode == 0
     data = json.loads(report.read_text())
     assert report_to_dict(report_from_dict(data)) == data
+    data["pattern"]["convention"]["presence_parity"] = [1, 0, 1]
+    with pytest.raises(WordError):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("golden,args,code", [
+    ("analyze_alternating.json", ("--word", "01", "--window=-24:24:-24:24"), 0),
+    ("analyze_hexagram.json", ("--word", "0", "--window=-24:24:-24:24"), 0),
+    ("analyze_pmg.json", ("--word-a", "0", "--word-b", "0", "--word-c", "0011",
+                          "--phase-c", "1"), 0),
+    ("analyze_small_window.json", ("--word", "0", "--window", "0:6:0:6"), 4),
+])
+def test_analyze_report_matches_golden(tmp_path, golden, args, code):
+    report = tmp_path / "r.json"
+    proc = run_cli("analyze", *args, "--report", str(report))
+    assert proc.returncode == code
+    assert report.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_analyze_is_reproducible(tmp_path):
@@ -113,9 +134,16 @@ def test_verify_koch_found_and_report(tmp_path):
     assert report_to_dict(report_from_dict(data)) == data
 
 
-def test_verify_koch_not_found_exits_5():
+def test_verify_koch_not_found_exits_5(monkeypatch, capsys):
     proc = run_cli("verify-koch", "--order", "2", "--no-phase-search")
     assert proc.returncode == 5
+    assert proc.stdout == "order 2: not found (tried phases 0,0,0)\n"
+    # A full search that misses names how many phase triples it tried:
+    # (0, b, c) for b, c over the order-2 word period of 6.
+    monkeypatch.setattr(cli, "verify_koch", lambda order, window, phase_search, phases:
+                        VerificationResult(False, dict(enumerate(phases)), None))
+    assert cli.main(["verify-koch", "--order", "2"]) == 5
+    assert capsys.readouterr().out == "order 2: not found (searched 36 phase candidates)\n"
 
 
 def test_verify_koch_fixed_phases():

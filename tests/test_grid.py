@@ -105,7 +105,7 @@ def test_window_counts_and_validation():
     with pytest.raises(WindowError):
         Window(3, 2, 0, 5).validate()
     with pytest.raises(WindowError):
-        Window(0, 9999, 0, 9999).validate(max_vertices=10 ** 6)
+        Window(0, 9999, 0, 9999).validate()
 
 
 def test_window_interior():

@@ -50,8 +50,7 @@ def _present_segments_in(design: Design):
             if not win.contains(u):
                 continue
             seg = segment_between(v, u)
-            if is_line_present(lines_through(v)[seg.family],
-                               design.pattern.convention):
+            if is_line_present(lines_through(v)[seg.family]):
                 yield seg
 
 

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isostitch import (DirectionSpec, LatticeIsometry, OverlapTooSmallError,
+from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
+                       LatticeIsometry, LineId, OverlapTooSmallError, SegmentId,
                        StitchPattern, Window, classify_wallpaper, dual,
-                       generate_design, is_self_dual, is_symmetry,
-                       pattern_period, period_cell, translation_basis)
-from isostitch.symmetry import IDENTITY, MIRROR_X, ROT60, point_matrix
+                       generate_design, is_front, is_line_present, is_self_dual,
+                       is_symmetry, period_cell, segment_between,
+                       segment_endpoints, translation_basis)
+from isostitch.symmetry import IDENTITY, MIRROR_X, ROT60, _row_shift_period, point_matrix
 
 
 def _design(word: str, half: int | None = None):
@@ -35,12 +40,6 @@ def test_sixfold_rotation_has_order_six():
     for _ in range(6):
         out = iso.apply(out)
     assert out == v
-
-
-def test_pattern_periods():
-    for word, period in (("0", 1), ("01", 2), ("0001", 4)):
-        pat = StitchPattern.uniform(DirectionSpec.periodic(word))
-        assert pattern_period(pat) == {0: period, 1: period, 2: period}
 
 
 def test_translation_lattice_from_word_periods():
@@ -165,3 +164,84 @@ def test_self_dual_witness_maps_front_onto_back():
             moved.add(segment_between(gu, gv))
     assert moved <= d.back
     assert len(moved) > len(d.back) // 2
+
+
+def _exact_maps_front_onto(pattern: StitchPattern, iso: LatticeIsometry, flip: bool) -> bool:
+    """Window-free reference: does iso map the front of the infinite design
+    onto the front (flip=False) or onto the back (flip=True)?
+
+    iso maps every line onto a line and positions along it by s -> +-s + c,
+    and both sides alternate along a line, so the segment at s = 0 decides a
+    whole line. Row parities repeat after the lcm of the row-shift periods,
+    and moving by that many present lines moves the image position by an
+    even amount, so one such period of ordinals per family decides all."""
+    period = lcm(*(_row_shift_period(pattern, f) for f in range(3)))
+    for f in range(3):
+        for m in range(period):
+            seg = SegmentId(f, 2 * m + PRESENCE_PARITY[f], 0)
+            u, v = segment_endpoints(seg)
+            image = segment_between(iso.apply(u), iso.apply(v))
+            if not is_line_present(LineId(image.family, image.k)):
+                return False
+            if is_front(image, pattern) != (is_front(seg, pattern) ^ flip):
+                return False
+    return True
+
+
+def _centered(rotation: int, reflect: bool, window: Window, shift: tuple[int, int]):
+    """Isometry with the given point part fixing the window middle, then
+    translated by shift."""
+    c = ((window.i_min + window.i_max) // 2, (window.j_min + window.j_max) // 2)
+    mc = LatticeIsometry(rotation, reflect).apply(c)
+    return LatticeIsometry(rotation, reflect,
+                           (c[0] - mc[0] + shift[0], c[1] - mc[1] + shift[1]))
+
+
+_bits = st.tuples(*[st.integers(0, 1)] * 3)
+_word = st.text(alphabet="01", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.tuples(_word, _word, _word),
+       phases=st.tuples(*[st.integers(0, 2)] * 3),
+       base=_bits, slope=_bits,
+       cells=st.integers(3, 4), corner=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       rotation=st.integers(0, 5), reflect=st.booleans(),
+       shift=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+def test_is_symmetry_agrees_with_exact_oracle(words, phases, base, slope, cells, corner,
+                                               rotation, reflect, shift):
+    pattern = StitchPattern(
+        specs=tuple(DirectionSpec.periodic(w, phase=p) for w, p in zip(words, phases)),
+        convention=GridConvention(phase_base=base, phase_slope=slope))
+    ci, cj = period_cell(pattern)
+    window = Window(corner[0], corner[0] + cells * ci, corner[1], corner[1] + cells * cj)
+    iso = _centered(rotation, reflect, window, (shift[0] % ci, shift[1] % cj))
+    try:
+        certified = is_symmetry(generate_design(window, pattern), iso)
+    except OverlapTooSmallError:
+        return
+    assert certified == _exact_maps_front_onto(pattern, iso, flip=False)
+
+
+@pytest.mark.parametrize("pattern", [
+    StitchPattern.uniform(DirectionSpec.periodic("0")),
+    StitchPattern.uniform(DirectionSpec.periodic("01")),
+    StitchPattern.uniform(DirectionSpec.periodic("0001")),
+    StitchPattern(specs=(DirectionSpec.periodic("0"), DirectionSpec.periodic("0"),
+                         DirectionSpec.periodic("0011", phase=1))),
+], ids=["0", "01", "0001", "pmg"])
+def test_witnesses_pass_exact_oracle(pattern):
+    ci, cj = period_cell(pattern)
+    half = 3 * max(ci, cj)
+    design = generate_design(Window(-half, half, -half, half), pattern)
+    for side in (design, dual(design)):
+        _, witnesses = classify_wallpaper(side)
+        assert all(_exact_maps_front_onto(pattern, w, flip=False) for w in witnesses)
+    found, witness = is_self_dual(design)
+    assert witness is None or _exact_maps_front_onto(pattern, witness, flip=True)
+    # The search covers every point part and every translation modulo the
+    # lattice, so its verdict is the oracle's over the same candidates.
+    assert found == any(
+        _exact_maps_front_onto(pattern, _centered(r, reflect, design.window, (ti, tj)), True)
+        for reflect in (False, True) for r in range(6)
+        for ti in range(ci) for tj in range(cj))
