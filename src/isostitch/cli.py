@@ -301,7 +301,7 @@ def cmd_verify_koch(args) -> int:
         raise InvalidOrderError(f"--order must be in 1..6, got {args.order}")
     if args.order >= 5 and not args.long_running:
         raise InvalidOrderError(
-            f"order {args.order} search may take hours; pass --long-running to confirm")
+            f"order {args.order} search is long-running; pass --long-running to confirm")
     window = _parse_window(args.window) if args.window else _koch_window(args.order)
     phases = (0, args.phase_b, args.phase_c)
     result = verify_koch(args.order, window, phase_search=args.phase_search,

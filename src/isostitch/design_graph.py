@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .grid import DIRECTION_INDEX, SegmentId, segment_endpoints
-from .stitcher import Design
+from .grid import DIRECTION_INDEX
+from .stitcher import Design, side_parity
 
 
 @dataclass(frozen=True)
@@ -54,53 +54,75 @@ class MotifCensus:
         return sum(self.counts.values())
 
 
-def _adjacency(segments: frozenset[SegmentId]) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for seg in segments:
-        u, v = segment_endpoints(seg)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
-
-
 def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
     """Decompose one side into cycles and open paths.
 
     Stitch graphs have maximum degree 2, so every component is a simple path
     or a simple cycle; open paths can only occur where the window boundary
-    cut a loop. Deterministic: seeds are visited in sorted vertex order.
+    cut a loop. Works from the design's line rows without building segment
+    sets: vertex (i, j) lies on A-line j at position i, B-line i at position
+    j and C-line i + j at position j, and on each present line its stitch on
+    this side runs to position p + 1 when (p + row) has the side's parity,
+    else to p - 1, if that segment lies in the line's range.
+
+    Deterministic: cycles are listed by least vertex, each starting there
+    and proceeding toward its lesser neighbor (Cycle's canonical form);
+    paths run from their lesser endpoint and are listed in that endpoint's
+    order.
     """
-    adj = _adjacency(design.side(side))
-    seen: set[tuple[int, int]] = set()
+    parity = side_parity(side)
+    win = design.window
+    a_rows, b_rows, c_rows = ({k: (s_lo, s_hi, row) for k, s_lo, s_hi, row in rows}
+                              for rows in design.lines)
+
+    def neighbours(i: int, j: int) -> list[tuple[int, int]]:
+        out = []
+        for line, p, di, dj in ((a_rows.get(j), i, 1, 0), (b_rows.get(i), j, 0, 1),
+                                (c_rows.get(i + j), j, -1, 1)):
+            if line is not None:
+                s_lo, s_hi, row = line
+                if (p + row) % 2 == parity:
+                    if s_lo <= p <= s_hi:
+                        out.append((i + di, j + dj))
+                elif s_lo < p <= s_hi + 1:
+                    out.append((i - di, j - dj))
+        return out
+
+    j_count = win.j_count
+    seen = bytearray(win.vertex_count())
+
+    def walk(start: tuple[int, int], first: tuple[int, int]) -> tuple[list[tuple[int, int]], bool]:
+        """Follow the stitches from start through first; returns the vertices
+        visited and whether the walk closed back onto start."""
+        out = [start]
+        prev, cur = start, first
+        while cur != start:
+            out.append(cur)
+            seen[(cur[0] - win.i_min) * j_count + cur[1] - win.j_min] = 1
+            ahead = [v for v in neighbours(*cur) if v != prev]
+            if not ahead:
+                return out, False
+            prev, cur = cur, ahead[0]
+        return out, True
+
     cycles: list[Cycle] = []
     paths: list[tuple[tuple[int, int], ...]] = []
-
-    def walk(start: tuple[int, int]) -> list[tuple[int, int]]:
-        out = [start]
-        seen.add(start)
-        prev = None
-        cur = start
-        while True:
-            nxt = None
-            for nb in adj[cur]:
-                if nb != prev:
-                    nxt = nb
-                    break
-            if nxt is None or nxt == start:
-                return out
-            if nxt in seen:
-                return out
-            out.append(nxt)
-            seen.add(nxt)
-            prev, cur = cur, nxt
-
-    for v in sorted(adj):
-        if v in seen or len(adj[v]) != 1:
+    for idx, v in enumerate(win.vertices()):
+        if seen[idx]:
             continue
-        paths.append(tuple(walk(v)))
-    for v in sorted(adj):
-        if v not in seen:
-            cycles.append(Cycle.from_vertices(walk(v)))
+        seen[idx] = 1
+        nbs = sorted(neighbours(*v))
+        if not nbs:
+            continue
+        # v is the least vertex of its component: every lesser one was seen
+        verts, closed = walk(v, nbs[0])
+        if closed:
+            cycles.append(Cycle(tuple(verts)))
+            continue
+        if len(nbs) == 2:
+            verts = walk(v, nbs[1])[0][:0:-1] + verts
+        paths.append(tuple(verts) if verts[0] < verts[-1] else tuple(reversed(verts)))
+    paths.sort()
     return cycles, paths
 
 

@@ -148,7 +148,7 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"verification order must be an integer >= 1, got {order!r}")
     polygon = koch_polygon(order)
-    verts = directions_to_vertices(koch_directions(order))
+    verts = polygon.cycle.vertices
     i_span = max(v[0] for v in verts) - min(v[0] for v in verts) + 1
     j_span = max(v[1] for v in verts) - min(v[1] for v in verts) + 1
     cell = period_cell(_pattern_for(order, (0, 0, 0)))

@@ -6,11 +6,17 @@ line. The line's offset bit decides which side the stitch at s = 0 lands on,
 and phase_base/phase_slope (grid conventions) fix how that alternation lines
 up across parallel lines. A segment is a front stitch exactly when
 
-    s + phase_base[F] + phase_slope[F] * ordinal + bit(line)    is odd.
+    s + row(line) is odd,   row = phase_base[F] + phase_slope[F] * ordinal + bit(line),
+
+so one row parity per present line determines the whole design. A Design
+stores just that: per family, (k, s_lo, s_hi, row) for each present line
+crossing the window. The front and back SegmentId sets are built from those
+rows only when a caller asks for them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import WordError
 from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
@@ -91,21 +97,50 @@ def is_front(seg: SegmentId, pattern: StitchPattern) -> bool:
     return (s + conv.phase_base[f] + conv.phase_slope[f] * m + bit) % 2 == 1
 
 
+# (k, s_lo, s_hi, row): a present line k whose segments s in [s_lo, s_hi] lie
+# in the window; segment s is a front stitch exactly when s + row is odd.
+LineRow = tuple[int, int, int, int]
+
+
+def side_parity(which: str) -> int:
+    """The parity of s + row that puts a segment on the named side."""
+    if which == "front":
+        return 1
+    if which == "back":
+        return 0
+    raise ValueError(f"side must be 'front' or 'back', got {which!r}")
+
+
 @dataclass(frozen=True)
 class Design:
-    """A finite-window materialization of a stitch pattern."""
+    """A finite-window materialization of a stitch pattern, stored line by
+    line: lines[F] holds one LineRow per present line of family F that
+    crosses the window, in increasing k.
+
+    front and back are the SegmentId sets of each side, built from the rows
+    on first access and then cached.
+    """
 
     window: Window
-    front: frozenset[SegmentId]
-    back: frozenset[SegmentId]
+    lines: tuple[tuple[LineRow, ...], tuple[LineRow, ...], tuple[LineRow, ...]]
     pattern: StitchPattern = field(repr=False)
 
+    def _segments(self, parity: int) -> frozenset[SegmentId]:
+        return frozenset(SegmentId(f, k, s)
+                         for f, rows in zip(Family, self.lines)
+                         for k, s_lo, s_hi, row in rows
+                         for s in range(s_lo + (s_lo + row + parity) % 2, s_hi + 1, 2))
+
+    @cached_property
+    def front(self) -> frozenset[SegmentId]:
+        return self._segments(1)
+
+    @cached_property
+    def back(self) -> frozenset[SegmentId]:
+        return self._segments(0)
+
     def side(self, which: str) -> frozenset[SegmentId]:
-        if which == "front":
-            return self.front
-        if which == "back":
-            return self.back
-        raise ValueError(f"side must be 'front' or 'back', got {which!r}")
+        return self.front if side_parity(which) else self.back
 
 
 def _line_ranges(window: Window, family: int, parity: int):
@@ -130,28 +165,28 @@ def _line_ranges(window: Window, family: int, parity: int):
 
 
 def generate_design(window: Window, pattern: StitchPattern) -> Design:
-    """Enumerate every present-line segment with both endpoints in the window
-    and split them into front and back stitches."""
+    """Record the row parity of every present line crossing the window; the
+    segments with both endpoints in the window are split by it into front
+    and back stitches."""
     window.validate()
     conv = pattern.convention
-    front: list[SegmentId] = []
-    back: list[SegmentId] = []
+    lines = []
     for f in (Family.A, Family.B, Family.C):
         spec = pattern.specs[f]
         seq = spec.bit_sequence()
         parity = PRESENCE_PARITY[f]
         base, slope = conv.phase_base[f], conv.phase_slope[f]
+        rows = []
         for k, s_lo, s_hi in _line_ranges(window, f, parity):
             m = (k - parity) // 2
-            row = (base + slope * m + seq.cyclic(m + spec.phase)) % 2
-            # front stitches sit at s with (s + row) odd
-            first_front = s_lo if (s_lo + row) % 2 == 1 else s_lo + 1
-            first_back = s_lo if (s_lo + row) % 2 == 0 else s_lo + 1
-            front.extend(SegmentId(f, k, s) for s in range(first_front, s_hi + 1, 2))
-            back.extend(SegmentId(f, k, s) for s in range(first_back, s_hi + 1, 2))
-    return Design(window, frozenset(front), frozenset(back), pattern)
+            rows.append((k, s_lo, s_hi, (base + slope * m + seq.cyclic(m + spec.phase)) % 2))
+        lines.append(tuple(rows))
+    return Design(window, tuple(lines), pattern)
 
 
 def dual(design: Design) -> Design:
-    """The design formed on the reverse of the fabric."""
-    return Design(design.window, design.back, design.front, design.pattern)
+    """The design formed on the reverse of the fabric: every row bit flipped,
+    so each side's stitches become the other side's."""
+    lines = tuple(tuple((k, s_lo, s_hi, 1 - row) for k, s_lo, s_hi, row in rows)
+                  for rows in design.lines)
+    return Design(design.window, lines, design.pattern)

@@ -1,9 +1,11 @@
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import (Cycle, DirectionSpec, StitchPattern, Window,
                        build_components, cycle_matches, generate_design,
-                       koch_polygon, motif_census, motif_signature)
+                       koch_polygon, motif_census, motif_signature,
+                       segment_endpoints)
 from isostitch.design_graph import _least_rotation
 
 
@@ -102,3 +104,65 @@ def test_census_count_ordering_is_deterministic():
     keys = list(census.counts)
     assert keys == sorted(keys, key=lambda sig: (len(sig), sig))
     assert census.total_cycles() == sum(census.counts.values())
+
+
+def _oracle_components(design, side):
+    """Reference decomposition from the materialized segment set: an
+    adjacency dict, paths seeded at degree-1 vertices, then cycles, both in
+    sorted vertex order."""
+    adj: dict = {}
+    for seg in design.side(side):
+        u, v = segment_endpoints(seg)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen: set = set()
+
+    def walk(start):
+        out, prev, cur = [start], None, start
+        seen.add(start)
+        while True:
+            nxt = next((nb for nb in adj[cur] if nb != prev), None)
+            if nxt is None or nxt in seen:
+                return out
+            out.append(nxt)
+            seen.add(nxt)
+            prev, cur = cur, nxt
+
+    paths = [tuple(walk(v)) for v in sorted(adj) if v not in seen and len(adj[v]) == 1]
+    cycles = [Cycle.from_vertices(walk(v)) for v in sorted(adj) if v not in seen]
+    return cycles, paths
+
+
+def _assert_matches_oracle(design):
+    for side in ("front", "back"):
+        cycles, paths = build_components(design, side)
+        ref_cycles, ref_paths = _oracle_components(design, side)
+        assert cycles == ref_cycles
+        assert paths == ref_paths
+
+
+mixed_spec = st.one_of(
+    st.integers(0, 1).map(DirectionSpec.constant),
+    st.builds(DirectionSpec.periodic, st.text(alphabet="01", min_size=1, max_size=8),
+              phase=st.integers(-5, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec),
+       st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 20), st.integers(0, 20))
+def test_components_match_adjacency_oracle(specs, i0, j0, w, h):
+    # off-origin windows with odd and even bounds, down to one-vertex-thin
+    # strips whose corner C-lines carry no segment
+    _assert_matches_oracle(generate_design(Window(i0, i0 + w, j0, j0 + h),
+                                           StitchPattern(specs=specs)))
+
+
+@pytest.mark.parametrize("order,phases,window", [
+    (2, (0, 0, 1), Window(0, 44, 0, 44)),
+    (2, (0, 3, 5), Window(-7, 30, 3, 41)),
+    (3, (0, 0, 1), Window(0, 116, 0, 116)),
+])
+def test_koch_components_match_adjacency_oracle(order, phases, window):
+    pattern = StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in phases))
+    _assert_matches_oracle(generate_design(window, pattern))

@@ -1,5 +1,6 @@
 import pytest
 
+from isostitch import koch_oracle
 from isostitch import (InvalidOrderError, Window, WindowError, koch_directions,
                        koch_polygon, motif_signature, replace_runs,
                        scale_directions, verify_koch)
@@ -69,6 +70,21 @@ def test_verify_order_three_found():
     res = verify_koch(3, _window(3))
     assert res.found
     assert len(res.matched_cycle.vertices) == 192
+
+
+def test_verify_never_materializes_segment_sets(monkeypatch):
+    designs = []
+    generate = koch_oracle.generate_design
+
+    def capturing(window, pattern):
+        designs.append(generate(window, pattern))
+        return designs[-1]
+
+    monkeypatch.setattr(koch_oracle, "generate_design", capturing)
+    assert verify_koch(3, _window(3)).found
+    assert designs
+    for design in designs:
+        assert "front" not in design.__dict__ and "back" not in design.__dict__
 
 
 def test_verify_without_search_reports_not_found_at_zero_phases():

@@ -73,6 +73,9 @@ def test_front_and_back_partition_the_present_segments(pattern, window):
     assert not design.front & design.back
     total = sum(1 for _ in _present_segments_in(design))
     assert len(design.front) + len(design.back) == total
+    flipped = dual(design)
+    assert flipped.front == design.back and flipped.back == design.front
+    assert dual(flipped) == design
 
 
 @settings(max_examples=40, deadline=None)
