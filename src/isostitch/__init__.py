@@ -18,8 +18,8 @@ from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, PRESENCE_PARITY,
                    segment_between, segment_direction, segment_endpoints,
                    vertex_degree_class, vertex_to_cartesian)
 from .koch_oracle import (KochPolygon, VerificationResult, koch_directions,
-                          koch_polygon, phase_period, replace_runs,
-                          scale_directions, verify_koch)
+                          koch_polygon, phase_candidates, phase_period,
+                          replace_runs, scale_directions, verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import (Design, DirectionSpec, StitchPattern, dual,
                        generate_design, is_front, line_bit)
@@ -41,7 +41,8 @@ __all__ = [
     "segment_direction", "segment_endpoints", "vertex_degree_class",
     "vertex_to_cartesian",
     "KochPolygon", "VerificationResult", "koch_directions", "koch_polygon",
-    "phase_period", "replace_runs", "scale_directions", "verify_koch",
+    "phase_candidates", "phase_period", "replace_runs", "scale_directions",
+    "verify_koch",
     "RenderOptions", "to_svg",
     "Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
     "is_front", "line_bit",

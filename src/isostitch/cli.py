@@ -17,7 +17,7 @@ from .errors import CalibrationError, InvalidOrderError, IsostitchError, \
     OverlapTooSmallError, WindowError, WordError
 from .grid import EMPTY, PRESENCE_PARITY, Family, GridConvention, Window, \
     segment_endpoints, vertex_degree_class
-from .koch_oracle import VerificationResult, koch_polygon, phase_period, verify_koch
+from .koch_oracle import VerificationResult, koch_polygon, phase_candidates, verify_koch
 from .render import RenderOptions, to_svg
 from .stitcher import Design, DirectionSpec, StitchPattern, dual, generate_design
 from .symmetry import LatticeIsometry, classify_wallpaper, is_self_dual, period_cell
@@ -319,7 +319,7 @@ def cmd_verify_koch(args) -> int:
               f"phases {phase_text})")
         return 0
     if args.phase_search:
-        searched = f"searched {phase_period(args.order) ** 2} phase candidates"
+        searched = f"searched {len(phase_candidates(args.order))} phase candidates"
     else:
         searched = f"tried phases {phase_text}"
     print(f"order {args.order}: not found ({searched})")

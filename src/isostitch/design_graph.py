@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .grid import DIRECTION_INDEX
+from .grid import DIRECTION_INDEX, DIRECTIONS, Family
 from .stitcher import Design, side_parity
 
 
@@ -54,16 +54,32 @@ class MotifCensus:
         return sum(self.counts.values())
 
 
+# Direction code c in 1..6 is direction index c - 1; code 0 means no stitch.
+_REVERSE = (0,) + tuple((d + 3) % 6 + 1 for d in range(6))
+
+
 def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
     """Decompose one side into cycles and open paths.
 
     Stitch graphs have maximum degree 2, so every component is a simple path
     or a simple cycle; open paths can only occur where the window boundary
-    cut a loop. Works from the design's line rows without building segment
-    sets: vertex (i, j) lies on A-line j at position i, B-line i at position
-    j and C-line i + j at position j, and on each present line its stitch on
-    this side runs to position p + 1 when (p + row) has the side's parity,
-    else to p - 1, if that segment lies in the line's range.
+    cut a loop.
+
+    Works from the design's line rows without building segment sets, on
+    window vertex indices v = (i - i_min) * j_count + (j - j_min), so index
+    order is vertex order. A visited vertex lies on two present lines: A-line
+    j at position i and C-line i + j at position j, with B-line i at position
+    j taking the slot that is free. On each present line a stitch of this
+    side runs from position p to p + 1 when (p + row) has the side's parity
+    and p lies in the line's range, so the positions with a stitch forward
+    are every second one, and their partners the positions just after them.
+    Two bytearrays hold per vertex the direction code toward its partner on
+    each line, filled by slice assignment with the line's stride of two
+    positions (2*j_count for A-lines, 2 for B-lines, 2*(1 - j_count) for
+    C-lines). A walk steps idx += step[code] and leaves each vertex by the
+    slot that is not the reverse of the code it arrived by. The empty
+    vertices (i and j both odd) start out seen, and the scan jumps to the
+    next unseen vertex with bytearray.find.
 
     Deterministic: cycles are listed by least vertex, each starting there
     and proceeding toward its lesser neighbor (Cycle's canonical form);
@@ -72,56 +88,87 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     """
     parity = side_parity(side)
     win = design.window
-    a_rows, b_rows, c_rows = ({k: (s_lo, s_hi, row) for k, s_lo, s_hi, row in rows}
-                              for rows in design.lines)
-
-    def neighbours(i: int, j: int) -> list[tuple[int, int]]:
-        out = []
-        for line, p, di, dj in ((a_rows.get(j), i, 1, 0), (b_rows.get(i), j, 0, 1),
-                                (c_rows.get(i + j), j, -1, 1)):
-            if line is not None:
-                s_lo, s_hi, row = line
-                if (p + row) % 2 == parity:
-                    if s_lo <= p <= s_hi:
-                        out.append((i + di, j + dj))
-                elif s_lo < p <= s_hi + 1:
-                    out.append((i - di, j - dj))
-        return out
-
     j_count = win.j_count
-    seen = bytearray(win.vertex_count())
+    n = win.vertex_count()
+    one, two = bytearray(n), bytearray(n)
+    step = (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
 
-    def walk(start: tuple[int, int], first: tuple[int, int]) -> tuple[list[tuple[int, int]], bool]:
-        """Follow the stitches from start through first; returns the vertices
-        visited and whether the walk closed back onto start."""
+    def put(slot: bytearray, v: int, stride: int, count: int, code: int) -> None:
+        if stride < 0:
+            v, stride = v + (count - 1) * stride, -stride
+        slot[v:v + (count - 1) * stride + 1:stride] = bytes((code,)) * count
+
+    for family, rows in enumerate(design.lines):
+        # family F's lines run in direction F: code F + 1 ahead, F + 4 back
+        d = step[family + 1]
+        for k, s_lo, s_hi, row in rows:
+            p = s_lo + (s_lo + row + parity) % 2  # first position stitched forward
+            count = (s_hi - p) // 2 + 1
+            if count <= 0:
+                continue
+            if family == Family.A:
+                v, ahead, behind = (p - win.i_min) * j_count + k - win.j_min, one, one
+            elif family == Family.B:
+                v = (k - win.i_min) * j_count + p - win.j_min
+                # vertex (k, p) is on A-line p when p is even, else on C-line k + p
+                ahead, behind = (two, one) if p % 2 == 0 else (one, two)
+            else:
+                v, ahead, behind = (k - p - win.i_min) * j_count + p - win.j_min, two, two
+            put(ahead, v, 2 * d, count, family + 1)
+            put(behind, v + d, 2 * d, count, family + 4)
+
+    seen = bytearray(n)
+    i_odd, j_odd = win.i_min | 1, win.j_min | 1
+    if j_odd <= win.j_max:
+        mark = b"\x01" * ((win.j_max - j_odd) // 2 + 1)
+        for i in range(i_odd, win.i_max + 1, 2):
+            v = (i - win.i_min) * j_count + j_odd - win.j_min
+            seen[v:v + 2 * len(mark) - 1:2] = mark
+
+    i_vals = list(range(win.i_min, win.i_max + 1))
+    j_vals = list(range(win.j_min, win.j_max + 1))
+
+    def points(idxs: list[int]) -> tuple[tuple[int, int], ...]:
+        return tuple([(i_vals[v // j_count], j_vals[v % j_count]) for v in idxs])
+
+    def walk(start: int, code: int) -> tuple[list[int], bool]:
+        """Follow the stitches from start, leaving it by code; returns the
+        vertices visited and whether the walk closed back onto start."""
         out = [start]
-        prev, cur = start, first
+        cur = start + step[code]
         while cur != start:
             out.append(cur)
-            seen[(cur[0] - win.i_min) * j_count + cur[1] - win.j_min] = 1
-            ahead = [v for v in neighbours(*cur) if v != prev]
-            if not ahead:
+            seen[cur] = 1
+            back = _REVERSE[code]
+            code = one[cur]
+            if code == back:
+                code = two[cur]
+            if not code:
                 return out, False
-            prev, cur = cur, ahead[0]
+            cur += step[code]
         return out, True
 
     cycles: list[Cycle] = []
     paths: list[tuple[tuple[int, int], ...]] = []
-    for idx, v in enumerate(win.vertices()):
-        if seen[idx]:
-            continue
-        seen[idx] = 1
-        nbs = sorted(neighbours(*v))
-        if not nbs:
-            continue
-        # v is the least vertex of its component: every lesser one was seen
-        verts, closed = walk(v, nbs[0])
-        if closed:
-            cycles.append(Cycle(tuple(verts)))
-            continue
-        if len(nbs) == 2:
-            verts = walk(v, nbs[1])[0][:0:-1] + verts
-        paths.append(tuple(verts) if verts[0] < verts[-1] else tuple(reversed(verts)))
+    v = seen.find(0)
+    while v >= 0:
+        seen[v] = 1
+        first, other = one[v], two[v]
+        # leave v toward its lesser neighbour, the one at the smaller offset
+        if not first or (other and step[other] < step[first]):
+            first, other = other, first
+        if first:
+            # v is the least vertex of its component: every lesser one was seen
+            verts, closed = walk(v, first)
+            if closed:
+                cycles.append(Cycle(points(verts)))
+            else:
+                if other:
+                    verts = walk(v, other)[0][:0:-1] + verts
+                if verts[0] > verts[-1]:
+                    verts.reverse()
+                paths.append(points(verts))
+        v = seen.find(0, v + 1)
     paths.sort()
     return cycles, paths
 

@@ -130,8 +130,15 @@ def _design_contains_polygon(design: Design, length: int, target_sig) -> Cycle |
 
 def phase_period(order: int) -> int:
     """Period of the order-n palindromic word sequence, hence the number of
-    distinct phases per family that verify_koch's phase search scans."""
+    distinct phases per family."""
     return 2 * 3 ** (order - 1)
+
+
+def phase_candidates(order: int) -> list[tuple[int, int, int]]:
+    """The phases verify_koch's search tries, in order: (0, b, c) for b in
+    (0, 1) and c below phase_period(order), one per orbit of the translation
+    argument in verify_koch's docstring."""
+    return [(0, b, c) for b in (0, 1) for c in range(phase_period(order))]
 
 
 def verify_koch(order: int, window: Window, phase_search: bool = True,
@@ -140,10 +147,32 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
 
     The order-n word is stitched in all three directions (palindromic
     repetition). With phase_search the relative word alignments for families
-    B and C are scanned lexicographically over one period, family A fixed at
-    phase 0, and the first success wins; otherwise only the given phases
-    (default all zero) are tried. Matching is by motif signature, i.e. up to
-    lattice isometry. found=False is a result, not an error.
+    B and C are scanned in lexicographic order, family A fixed at phase 0,
+    and the first success wins; otherwise only the given phases (default all
+    zero) are tried. Matching is by motif signature, i.e. up to lattice
+    isometry. found=False is a result, not an error.
+
+    The search scans only the 2P candidates (0, b, c) with b in (0, 1) of
+    the P^2 phase pairs (P = phase_period(order), which is even), and finds
+    the same first hit as the full lexicographic scan:
+    - Translating design (0, b, c) by (4t, 0) gives design (0, b - 2t,
+      c - 2t) (phases mod P). It maps every A-line onto itself and moves
+      each B- and C-line k to k + 4t, shifting its present-line ordinal by
+      2t. The phase slope's 2t and the A-line positions' 4t are even, so
+      each moved line keeps its row parity exactly when its phase drops by
+      2t.
+    - The window spans at least the polygon's extent plus one period cell
+      in each axis (checked below). So any copy of the polygon in the
+      infinite design can be moved by a period translation to lie inside
+      the window, where it is a front cycle; and a front cycle of the
+      window is one of the infinite design, whose stitch graph has maximum
+      degree 2.
+      Whether a candidate has a hit is therefore the same across each orbit
+      of the translations above.
+    - Every orbit holds a candidate with b <= 1, lexicographically no later
+      than its other members. So the first hit of the full scan has b <= 1,
+      and the quotient scan, which visits those candidates in the same
+      order, meets it first too, with the same design and matched cycle.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"verification order must be an integer >= 1, got {order!r}")
@@ -159,12 +188,7 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
 
     target_sig = motif_signature(polygon.cycle)
     length = polygon.segment_count
-    period = phase_period(order)
-    if phase_search:
-        candidates = ((0, b, c) for b in range(period) for c in range(period))
-    else:
-        candidates = iter([phases])
-    for cand in candidates:
+    for cand in phase_candidates(order) if phase_search else [phases]:
         design = generate_design(window, _pattern_for(order, cand))
         hit = _design_contains_polygon(design, length, target_sig)
         if hit is not None:

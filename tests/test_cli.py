@@ -139,11 +139,11 @@ def test_verify_koch_not_found_exits_5(monkeypatch, capsys):
     assert proc.returncode == 5
     assert proc.stdout == "order 2: not found (tried phases 0,0,0)\n"
     # A full search that misses names how many phase triples it tried:
-    # (0, b, c) for b, c over the order-2 word period of 6.
+    # (0, b, c) for b in (0, 1) and c over the order-2 word period of 6.
     monkeypatch.setattr(cli, "verify_koch", lambda order, window, phase_search, phases:
                         VerificationResult(False, dict(enumerate(phases)), None))
     assert cli.main(["verify-koch", "--order", "2"]) == 5
-    assert capsys.readouterr().out == "order 2: not found (searched 36 phase candidates)\n"
+    assert capsys.readouterr().out == "order 2: not found (searched 12 phase candidates)\n"
 
 
 def test_verify_koch_fixed_phases():

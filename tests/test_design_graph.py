@@ -1,11 +1,13 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isostitch import (Cycle, DirectionSpec, StitchPattern, Window,
-                       build_components, cycle_matches, generate_design,
-                       koch_polygon, motif_census, motif_signature,
-                       segment_endpoints)
+from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
+                       Window, build_components, cycle_matches, dual,
+                       generate_design, koch_polygon, motif_census,
+                       motif_signature, segment_endpoints, translation_basis)
 from isostitch.design_graph import _least_rotation
 
 
@@ -145,24 +147,61 @@ mixed_spec = st.one_of(
     st.integers(0, 1).map(DirectionSpec.constant),
     st.builds(DirectionSpec.periodic, st.text(alphabet="01", min_size=1, max_size=8),
               phase=st.integers(-5, 5)))
+_bits = st.tuples(*[st.integers(0, 1)] * 3)
+# any of the 64 phase base/slope conventions calibrate chooses from
+convention = st.builds(GridConvention, phase_base=_bits, phase_slope=_bits)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.tuples(mixed_spec, mixed_spec, mixed_spec),
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
        st.integers(-9, 9), st.integers(-9, 9),
        st.integers(0, 20), st.integers(0, 20))
-def test_components_match_adjacency_oracle(specs, i0, j0, w, h):
+def test_components_match_adjacency_oracle(specs, conv, i0, j0, w, h):
     # off-origin windows with odd and even bounds, down to one-vertex-thin
     # strips whose corner C-lines carry no segment
-    _assert_matches_oracle(generate_design(Window(i0, i0 + w, j0, j0 + h),
-                                           StitchPattern(specs=specs)))
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    _assert_matches_oracle(design)
+    _assert_matches_oracle(dual(design))
 
 
 @pytest.mark.parametrize("order,phases,window", [
     (2, (0, 0, 1), Window(0, 44, 0, 44)),
     (2, (0, 3, 5), Window(-7, 30, 3, 41)),
     (3, (0, 0, 1), Window(0, 116, 0, 116)),
+    # verify-koch --order 4 with its default window, as it finds the snowflake
+    (4, (0, 0, 1), Window(0, 332, 0, 332)),
 ])
 def test_koch_components_match_adjacency_oracle(order, phases, window):
     pattern = StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in phases))
     _assert_matches_oracle(generate_design(window, pattern))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-30, 9), st.integers(-30, 9),
+       st.integers(0, 24), st.integers(0, 24), st.integers(0, 1))
+def test_census_is_unchanged_by_a_period_translation_of_the_window(specs, conv, i0, j0,
+                                                                    w, h, which):
+    pattern = StitchPattern(specs, conv)
+    ti, tj = translation_basis(pattern)[which]
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), pattern)
+    moved = generate_design(Window(i0 + ti, i0 + ti + w, j0 + tj, j0 + tj + h), pattern)
+    for side in ("front", "back"):
+        assert motif_census(moved, side) == motif_census(design, side)
+
+
+def test_build_components_working_memory_is_a_few_bytes_per_vertex():
+    # What build_components allocates beyond its result must stay a few
+    # bytearrays over the window: a table with an object per vertex would
+    # cost tens of bytes per vertex and show at high Koch orders.
+    window = Window(0, 116, 0, 116)
+    pattern = StitchPattern(specs=tuple(DirectionSpec.koch(3, phase=p) for p in (0, 0, 1)))
+    design = generate_design(window, pattern)
+    tracemalloc.start()
+    try:
+        result = build_components(design, "front")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[0]
+    assert peak - held <= 8 * window.vertex_count()

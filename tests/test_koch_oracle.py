@@ -87,6 +87,28 @@ def test_verify_never_materializes_segment_sets(monkeypatch):
         assert "front" not in design.__dict__ and "back" not in design.__dict__
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_phase_quotient_agrees_with_the_full_search(order):
+    # Every (0, b, c) has a hit exactly when its representative with b <= 1
+    # does, and the quotient search returns the full scan's first hit.
+    window = _window(order)
+    polygon = koch_polygon(order)
+    sig, length = motif_signature(polygon.cycle), polygon.segment_count
+    period = koch_oracle.phase_period(order)
+    hits = {}
+    for b in range(period):
+        for c in range(period):
+            design = koch_oracle.generate_design(window, koch_oracle._pattern_for(order, (0, b, c)))
+            hits[b, c] = koch_oracle._design_contains_polygon(design, length, sig)
+    for (b, c), hit in hits.items():
+        assert (hit is None) == (hits[b % 2, (c - b + b % 2) % period] is None)
+    first = next((b, c) for (b, c), hit in sorted(hits.items()) if hit is not None)
+    res = verify_koch(order, window)
+    assert (res.phases[1], res.phases[2]) == first
+    assert res.matched_cycle == hits[first]
+    assert len(koch_oracle.phase_candidates(order)) == 2 * period
+
+
 def test_verify_without_search_reports_not_found_at_zero_phases():
     res = verify_koch(2, _window(2), phase_search=False)
     assert not res.found
