@@ -7,47 +7,43 @@ verifies which Koch snowflake iterates they contain.
 """
 __version__ = "0.1.0"
 
-from .design_graph import (Cycle, MotifCensus, build_components, cycle_matches,
-                           motif_census, motif_signature)
+from .design_graph import (Cycle, MotifCensus, build_components, motif_census,
+                           motif_signature)
 from .errors import (CalibrationError, InvalidOrderError, IsostitchError,
-                     NotAStitchLineError, OverlapTooSmallError, WindowError,
-                     WordError)
+                     OverlapTooSmallError, WindowError, WordError)
 from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, PRESENCE_PARITY,
                    VISITED, Family, GridConvention, LineId, SegmentId, Window,
-                   is_line_present, lines_through, present_line_ordinal,
-                   segment_between, segment_direction, segment_endpoints,
-                   vertex_degree_class, vertex_to_cartesian)
+                   is_line_present, lines_through, segment_between,
+                   segment_endpoints, vertex_degree_class, vertex_to_cartesian)
 from .koch_oracle import (KochPolygon, VerificationResult, koch_directions,
                           koch_polygon, phase_candidates, phase_period,
                           replace_runs, scale_directions, verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import (Design, DirectionSpec, StitchPattern, dual,
-                       generate_design, is_front, line_bit)
+                       generate_design)
 from .symmetry import (LatticeIsometry, classify_wallpaper, is_self_dual,
                        is_symmetry, period_cell, translation_basis)
-from .words import (Word, complement, concat, koch_word, minimal_period,
-                    palindromic_period, reverse)
+from .words import (Word, complement, concat, koch_word, palindromic_period,
+                    reverse)
 
 __all__ = [
     "__version__",
-    "Cycle", "MotifCensus", "build_components", "cycle_matches",
-    "motif_census", "motif_signature",
+    "Cycle", "MotifCensus", "build_components", "motif_census",
+    "motif_signature",
     "CalibrationError", "InvalidOrderError", "IsostitchError",
-    "NotAStitchLineError", "OverlapTooSmallError", "WindowError", "WordError",
+    "OverlapTooSmallError", "WindowError", "WordError",
     "DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "PRESENCE_PARITY", "VISITED",
     "Family",
     "GridConvention", "LineId", "SegmentId", "Window", "is_line_present",
-    "lines_through", "present_line_ordinal", "segment_between",
-    "segment_direction", "segment_endpoints", "vertex_degree_class",
-    "vertex_to_cartesian",
+    "lines_through", "segment_between", "segment_endpoints",
+    "vertex_degree_class", "vertex_to_cartesian",
     "KochPolygon", "VerificationResult", "koch_directions", "koch_polygon",
     "phase_candidates", "phase_period", "replace_runs", "scale_directions",
     "verify_koch",
     "RenderOptions", "to_svg",
     "Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
-    "is_front", "line_bit",
     "LatticeIsometry", "classify_wallpaper", "is_self_dual", "is_symmetry",
     "period_cell", "translation_basis",
-    "Word", "complement", "concat", "koch_word", "minimal_period",
-    "palindromic_period", "reverse",
+    "Word", "complement", "concat", "koch_word", "palindromic_period",
+    "reverse",
 ]

@@ -9,15 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import __version__
-from .design_graph import Cycle, MotifCensus, motif_census, motif_signature
+from .design_graph import MotifCensus, motif_census, motif_signature
 from .errors import CalibrationError, InvalidOrderError, IsostitchError, \
     OverlapTooSmallError, WindowError, WordError
 from .grid import EMPTY, PRESENCE_PARITY, Family, GridConvention, Window, \
     segment_endpoints, vertex_degree_class
-from .koch_oracle import VerificationResult, koch_polygon, phase_candidates, verify_koch
+from .koch_oracle import (VerificationResult, _pattern_for, koch_polygon, phase_candidates,
+                          verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import Design, DirectionSpec, StitchPattern, dual, generate_design
 from .symmetry import LatticeIsometry, classify_wallpaper, is_self_dual, period_cell
@@ -31,18 +32,6 @@ KOCH_PHASES = (0, 0, 1)
 
 # ---------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    tool_version: str
-    pattern: StitchPattern
-    window: Window
-    invariant_results: dict
-    census: dict
-    wallpaper: dict
-    self_dual: dict | None
-    koch: VerificationResult | None
-
-
 def _spec_to_dict(spec: DirectionSpec) -> dict:
     out: dict = {"kind": spec.kind}
     if spec.kind == "constant":
@@ -55,30 +44,11 @@ def _spec_to_dict(spec: DirectionSpec) -> dict:
     return out
 
 
-def _spec_from_dict(d: dict) -> DirectionSpec:
-    if d["kind"] == "constant":
-        return DirectionSpec.constant(d["bit"], phase=d["phase"])
-    if d["kind"] == "periodic":
-        return DirectionSpec.periodic(d["word"], phase=d["phase"])
-    return DirectionSpec.koch(d["order"], phase=d["phase"])
-
-
 def _pattern_to_dict(p: StitchPattern) -> dict:
     return {"directions": [_spec_to_dict(s) for s in p.specs],
             "convention": {"presence_parity": list(PRESENCE_PARITY),
                            "phase_base": list(p.convention.phase_base),
                            "phase_slope": list(p.convention.phase_slope)}}
-
-
-def _pattern_from_dict(d: dict) -> StitchPattern:
-    c = d["convention"]
-    if tuple(c["presence_parity"]) != PRESENCE_PARITY:
-        raise WordError(f"presence parity must be {list(PRESENCE_PARITY)}, "
-                        f"got {c['presence_parity']}")
-    conv = GridConvention(phase_base=tuple(c["phase_base"]),
-                          phase_slope=tuple(c["phase_slope"]))
-    return StitchPattern(specs=tuple(_spec_from_dict(s) for s in d["directions"]),
-                         convention=conv)
 
 
 def iso_to_dict(iso: LatticeIsometry) -> dict:
@@ -94,34 +64,17 @@ def _koch_to_dict(res: VerificationResult) -> dict:
             else [list(v) for v in res.matched_cycle.vertices]}
 
 
-def _koch_from_dict(d: dict) -> VerificationResult:
-    cyc = None if d["matched_cycle"] is None else \
-        Cycle.from_vertices([tuple(v) for v in d["matched_cycle"]])
-    return VerificationResult(found=d["found"],
-                              phases={int(Family[k]): v for k, v in d["phases"].items()},
-                              matched_cycle=cyc)
-
-
-def report_to_dict(r: AnalysisReport) -> dict:
-    return {"tool_version": r.tool_version,
-            "pattern": _pattern_to_dict(r.pattern),
-            "window": list(r.window),
-            "invariant_results": r.invariant_results,
-            "census": r.census,
-            "wallpaper": r.wallpaper,
-            "self_dual": r.self_dual,
-            "koch": None if r.koch is None else _koch_to_dict(r.koch)}
-
-
-def report_from_dict(d: dict) -> AnalysisReport:
-    return AnalysisReport(tool_version=d["tool_version"],
-                          pattern=_pattern_from_dict(d["pattern"]),
-                          window=Window(*d["window"]),
-                          invariant_results=d["invariant_results"],
-                          census=d["census"],
-                          wallpaper=d["wallpaper"],
-                          self_dual=d["self_dual"],
-                          koch=None if d["koch"] is None else _koch_from_dict(d["koch"]))
+def _report(pattern: StitchPattern, window: Window, invariants: dict, census: dict,
+            wallpaper: dict, self_dual: dict | None, koch: VerificationResult | None) -> dict:
+    """The JSON report; verify-koch leaves the analysis sections empty."""
+    return {"tool_version": __version__,
+            "pattern": _pattern_to_dict(pattern),
+            "window": list(window),
+            "invariant_results": invariants,
+            "census": census,
+            "wallpaper": wallpaper,
+            "self_dual": self_dual,
+            "koch": None if koch is None else _koch_to_dict(koch)}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -161,11 +114,9 @@ def _pattern_from_args(args) -> StitchPattern:
     if args.koch_order is not None:
         if any(w is not None for w in (args.word, args.word_a, args.word_b, args.word_c)):
             raise WordError("--koch-order cannot be combined with --word options")
-        defaults = KOCH_PHASES
-        phases = [defaults[f] if p is None else p
-                  for f, p in enumerate((args.phase_a, args.phase_b, args.phase_c))]
-        return StitchPattern(specs=tuple(
-            DirectionSpec.koch(args.koch_order, phase=phases[f]) for f in range(3)))
+        phases = tuple(KOCH_PHASES[f] if p is None else p
+                       for f, p in enumerate((args.phase_a, args.phase_b, args.phase_c)))
+        return _pattern_for(args.koch_order, phases)
     words = [args.word_a, args.word_b, args.word_c]
     if args.word is not None:
         if any(w is not None for w in words):
@@ -258,11 +209,8 @@ def cmd_analyze(args) -> int:
         self_dual = {"value": False, "witness": None, "error": str(exc)}
         exit_code = INCONCLUSIVE
 
-    report = AnalysisReport(tool_version=__version__, pattern=pattern, window=window,
-                            invariant_results=invariant_results(design),
-                            census=census, wallpaper=wallpaper,
-                            self_dual=self_dual, koch=None)
-    _write_json(args.report, report_to_dict(report))
+    _write_json(args.report, _report(pattern, window, invariant_results(design),
+                                     census, wallpaper, self_dual, None))
     print(f"wallpaper front={wallpaper['front']['group']} "
           f"back={wallpaper['back']['group']} self_dual={self_dual['value']} "
           f"-> {args.report}")
@@ -272,25 +220,28 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------- render
 
 def cmd_render(args) -> int:
+    try:
+        opts = RenderOptions(side=args.side, mirror_back=args.mirror_back,
+                             show_grid_dots=args.dots, show_empty_vertices=args.empty_dots,
+                             stroke_width=args.stroke_width, unit_px=args.unit_px)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     pattern = _pattern_from_args(args)
     window = _window_from_args(args, pattern)
     design = generate_design(window, pattern)
-    highlight: tuple[Cycle, ...] = ()
     if args.highlight_koch:
         if args.koch_order is None:
             raise WordError("--highlight-koch requires --koch-order")
         res = verify_koch(args.koch_order, window, phase_search=False,
                           phases=tuple(s.phase for s in pattern.specs))
         if res.matched_cycle is not None:
-            highlight = (res.matched_cycle,)
-    opts = RenderOptions(side=args.side, mirror_back=args.mirror_back,
-                         show_grid_dots=args.dots, show_empty_vertices=args.empty_dots,
-                         highlight=highlight, stroke_width=args.stroke_width,
-                         unit_px=args.unit_px)
+            opts = replace(opts, highlight=(res.matched_cycle,))
     payload = to_svg(design, opts)
     with open(args.out, "wb") as fh:
         fh.write(payload)
-    print(f"{len(design.front)} front / {len(design.back)} back segments -> {args.out}")
+    front, back = (sum(count for *_, count in design.runs(side)) for side in ("front", "back"))
+    print(f"{front} front / {back} back segments -> {args.out}")
     return 0
 
 
@@ -306,14 +257,12 @@ def cmd_verify_koch(args) -> int:
     phases = (0, args.phase_b, args.phase_c)
     result = verify_koch(args.order, window, phase_search=args.phase_search,
                          phases=phases)
-    pattern = StitchPattern(specs=tuple(
-        DirectionSpec.koch(args.order, phase=result.phases[f]) for f in range(3)))
-    report = AnalysisReport(tool_version=__version__, pattern=pattern, window=window,
-                            invariant_results={}, census={}, wallpaper={},
-                            self_dual=None, koch=result)
+    result_phases = tuple(result.phases[f] for f in range(3))
     if args.report:
-        _write_json(args.report, report_to_dict(report))
-    phase_text = ",".join(str(result.phases[f]) for f in range(3))
+        _write_json(args.report, _report(_pattern_for(args.order, result_phases), window,
+                                         invariants={}, census={}, wallpaper={},
+                                         self_dual=None, koch=result))
+    phase_text = ",".join(map(str, result_phases))
     if result.found:
         print(f"order {args.order}: found ({3 * 4 ** args.order} segments, "
               f"phases {phase_text})")

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .grid import DIRECTION_INDEX, DIRECTIONS, Family
-from .stitcher import Design, side_parity
+from .stitcher import Design
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     j taking the slot that is free. On each present line a stitch of this
     side runs from position p to p + 1 when (p + row) has the side's parity
     and p lies in the line's range, so the positions with a stitch forward
-    are every second one, and their partners the positions just after them.
+    are every second one (Design.runs gives the first and their count), and
+    their partners the positions just after them.
     Two bytearrays hold per vertex the direction code toward its partner on
     each line, filled by slice assignment with the line's stride of two
     positions (2*j_count for A-lines, 2 for B-lines, 2*(1 - j_count) for
@@ -86,7 +87,6 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     paths run from their lesser endpoint and are listed in that endpoint's
     order.
     """
-    parity = side_parity(side)
     win = design.window
     j_count = win.j_count
     n = win.vertex_count()
@@ -98,24 +98,20 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             v, stride = v + (count - 1) * stride, -stride
         slot[v:v + (count - 1) * stride + 1:stride] = bytes((code,)) * count
 
-    for family, rows in enumerate(design.lines):
-        # family F's lines run in direction F: code F + 1 ahead, F + 4 back
+    # p is the first position stitched forward; family F's lines run in
+    # direction F: code F + 1 ahead, F + 4 back
+    for family, k, p, count in design.runs(side):
         d = step[family + 1]
-        for k, s_lo, s_hi, row in rows:
-            p = s_lo + (s_lo + row + parity) % 2  # first position stitched forward
-            count = (s_hi - p) // 2 + 1
-            if count <= 0:
-                continue
-            if family == Family.A:
-                v, ahead, behind = (p - win.i_min) * j_count + k - win.j_min, one, one
-            elif family == Family.B:
-                v = (k - win.i_min) * j_count + p - win.j_min
-                # vertex (k, p) is on A-line p when p is even, else on C-line k + p
-                ahead, behind = (two, one) if p % 2 == 0 else (one, two)
-            else:
-                v, ahead, behind = (k - p - win.i_min) * j_count + p - win.j_min, two, two
-            put(ahead, v, 2 * d, count, family + 1)
-            put(behind, v + d, 2 * d, count, family + 4)
+        if family == Family.A:
+            v, ahead, behind = (p - win.i_min) * j_count + k - win.j_min, one, one
+        elif family == Family.B:
+            v = (k - win.i_min) * j_count + p - win.j_min
+            # vertex (k, p) is on A-line p when p is even, else on C-line k + p
+            ahead, behind = (two, one) if p % 2 == 0 else (one, two)
+        else:
+            v, ahead, behind = (k - p - win.i_min) * j_count + p - win.j_min, two, two
+        put(ahead, v, 2 * d, count, family + 1)
+        put(behind, v + d, 2 * d, count, family + 4)
 
     seen = bytearray(n)
     i_odd, j_odd = win.i_min | 1, win.j_min | 1
@@ -209,10 +205,6 @@ def motif_signature(cycle: Cycle) -> str:
     """Canonical form of the cycle's edge-direction sequence, invariant under
     translation, the 12 lattice point symmetries, and traversal direction."""
     return min(_least_rotation(v) for v in _direction_variants(cycle.directions()))
-
-
-def cycle_matches(cycle: Cycle, reference: Cycle) -> bool:
-    return motif_signature(cycle) == motif_signature(reference)
 
 
 def motif_census(design: Design, side: str) -> MotifCensus:

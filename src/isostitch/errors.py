@@ -13,10 +13,6 @@ class InvalidOrderError(WordError):
     """Koch word or polygon order outside the supported range."""
 
 
-class NotAStitchLineError(IsostitchError):
-    """A line-level operation was applied to a line that carries no stitching."""
-
-
 class WindowError(IsostitchError):
     """Window is degenerate, too large, or too small for the requested analysis."""
 

@@ -20,7 +20,7 @@ import math
 from enum import IntEnum
 from typing import Iterator, NamedTuple
 
-from .errors import NotAStitchLineError, WindowError
+from .errors import WindowError
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -122,14 +122,6 @@ def is_line_present(line: LineId) -> bool:
     return line.k % 2 == PRESENCE_PARITY[line.family]
 
 
-def present_line_ordinal(line: LineId) -> int:
-    """Index of a present line among the present lines of its family, so
-    consecutive present lines get consecutive ordinals."""
-    if not is_line_present(line):
-        raise NotAStitchLineError(f"line {line} carries no stitching")
-    return (line.k - PRESENCE_PARITY[line.family]) // 2
-
-
 def vertex_degree_class(v: tuple[int, int]) -> str:
     n = sum(1 for line in lines_through(v) if is_line_present(line))
     if n == 0:
@@ -161,7 +153,3 @@ def segment_between(u: tuple[int, int], v: tuple[int, int]) -> SegmentId:
     if d == (0, 1):
         return SegmentId(Family.B, u[0], u[1])
     return SegmentId(Family.C, u[0] + u[1], u[1])
-
-
-def segment_direction(seg: SegmentId) -> tuple[int, int]:
-    return DIRECTIONS[seg.family]

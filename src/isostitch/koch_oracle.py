@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .design_graph import Cycle, build_components, motif_signature
 from .errors import InvalidOrderError, WindowError
-from .grid import DIRECTIONS, Family, Window
+from .grid import DIRECTIONS, Window
 from .stitcher import Design, DirectionSpec, StitchPattern, generate_design
 from .symmetry import period_cell
 
@@ -115,9 +115,8 @@ class VerificationResult:
 
 
 def _pattern_for(order: int, phases: tuple[int, int, int]) -> StitchPattern:
-    return StitchPattern(specs=(DirectionSpec.koch(order, phase=phases[0]),
-                                DirectionSpec.koch(order, phase=phases[1]),
-                                DirectionSpec.koch(order, phase=phases[2])))
+    """The order-n word stitched in families A, B and C at the given phases."""
+    return StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in phases))
 
 
 def _design_contains_polygon(design: Design, length: int, target_sig) -> Cycle | None:
@@ -188,17 +187,12 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
 
     target_sig = motif_signature(polygon.cycle)
     length = polygon.segment_count
+    hit = None
     for cand in phase_candidates(order) if phase_search else [phases]:
         design = generate_design(window, _pattern_for(order, cand))
         hit = _design_contains_polygon(design, length, target_sig)
         if hit is not None:
-            return VerificationResult(found=True,
-                                      phases={int(Family.A): cand[0],
-                                              int(Family.B): cand[1],
-                                              int(Family.C): cand[2]},
-                                      matched_cycle=hit)
-    return VerificationResult(found=False,
-                              phases={int(Family.A): phases[0],
-                                      int(Family.B): phases[1],
-                                      int(Family.C): phases[2]},
-                              matched_cycle=None)
+            phases = cand
+            break
+    return VerificationResult(found=hit is not None, phases=dict(enumerate(phases)),
+                              matched_cycle=hit)

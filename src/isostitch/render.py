@@ -7,6 +7,7 @@ on any platform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .design_graph import Cycle
@@ -33,8 +34,9 @@ class RenderOptions:
     def __post_init__(self):
         if self.side not in ("front", "back", "both"):
             raise ValueError(f"side must be front, back or both, not {self.side!r}")
-        if self.unit_px <= 0 or self.stroke_width <= 0:
-            raise ValueError("unit_px and stroke_width must be positive")
+        if not (0 < self.unit_px < math.inf and 0 < self.stroke_width < math.inf):
+            raise ValueError("unit_px and stroke_width must be positive and finite, "
+                             f"got {self.unit_px} and {self.stroke_width}")
 
 
 def _fmt(x: float) -> str:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from .errors import WordError
 from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
-                   LineId, SegmentId, Window, present_line_ordinal)
+                   SegmentId, Window)
 from .words import Word, koch_word, palindromic_period
 
 CONSTANT = "constant"
@@ -83,20 +84,6 @@ class StitchPattern:
         return cls((spec, spec, spec), convention)
 
 
-def line_bit(line: LineId, pattern: StitchPattern) -> int:
-    spec = pattern.specs[line.family]
-    m = present_line_ordinal(line)
-    return spec.bit_sequence().cyclic(m + spec.phase)
-
-
-def is_front(seg: SegmentId, pattern: StitchPattern) -> bool:
-    f, k, s = seg
-    conv = pattern.convention
-    m = present_line_ordinal(LineId(f, k))
-    bit = line_bit(LineId(f, k), pattern)
-    return (s + conv.phase_base[f] + conv.phase_slope[f] * m + bit) % 2 == 1
-
-
 # (k, s_lo, s_hi, row): a present line k whose segments s in [s_lo, s_hi] lie
 # in the window; segment s is a front stitch exactly when s + row is odd.
 LineRow = tuple[int, int, int, int]
@@ -125,19 +112,29 @@ class Design:
     lines: tuple[tuple[LineRow, ...], tuple[LineRow, ...], tuple[LineRow, ...]]
     pattern: StitchPattern = field(repr=False)
 
-    def _segments(self, parity: int) -> frozenset[SegmentId]:
-        return frozenset(SegmentId(f, k, s)
-                         for f, rows in zip(Family, self.lines)
-                         for k, s_lo, s_hi, row in rows
-                         for s in range(s_lo + (s_lo + row + parity) % 2, s_hi + 1, 2))
+    def runs(self, side: str) -> Iterator[tuple[Family, int, int, int]]:
+        """Yield (family, k, first, count) for each row with a stitch on the
+        named side: its stitches are the segments first, first + 2, ...,
+        first + 2 * (count - 1) of line k. Rows come in Design.lines order."""
+        parity = side_parity(side)
+        for f, rows in zip(Family, self.lines):
+            for k, s_lo, s_hi, row in rows:
+                first = s_lo + (s_lo + row + parity) % 2
+                count = (s_hi - first) // 2 + 1
+                if count > 0:
+                    yield f, k, first, count
+
+    def _segments(self, side: str) -> frozenset[SegmentId]:
+        return frozenset(SegmentId(f, k, s) for f, k, first, count in self.runs(side)
+                         for s in range(first, first + 2 * count, 2))
 
     @cached_property
     def front(self) -> frozenset[SegmentId]:
-        return self._segments(1)
+        return self._segments("front")
 
     @cached_property
     def back(self) -> frozenset[SegmentId]:
-        return self._segments(0)
+        return self._segments("back")
 
     def side(self, which: str) -> frozenset[SegmentId]:
         return self.front if side_parity(which) else self.back

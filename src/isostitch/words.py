@@ -69,7 +69,7 @@ def reverse(w: Word) -> Word:
     return Word(w.length, r)
 
 
-_koch_cache: dict[int, Word] = {}
+_koch_words = [Word(1, 0)]  # _koch_words[n - 1] is the order-n word; w_1 = "0"
 
 
 def koch_word(order: int) -> Word:
@@ -80,18 +80,10 @@ def koch_word(order: int) -> Word:
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"word order must be a positive integer, got {order!r}")
-    if order in _koch_cache:
-        return _koch_cache[order]
-    w = _koch_cache.get(1, Word.parse("0"))
-    _koch_cache[1] = w
-    for n in range(2, order + 1):
-        if n in _koch_cache:
-            w = _koch_cache[n]
-            continue
-        c = complement(w)
-        w = concat(concat(reverse(c), c), w)
-        _koch_cache[n] = w
-    return w
+    while len(_koch_words) < order:
+        c = complement(_koch_words[-1])
+        _koch_words.append(concat(concat(reverse(c), c), _koch_words[-1]))
+    return _koch_words[order - 1]
 
 
 def palindromic_period(w: Word) -> Word:
@@ -100,19 +92,3 @@ def palindromic_period(w: Word) -> Word:
     if w.length == 0:
         raise WordError("cannot build a palindromic period from the empty word")
     return concat(w, reverse(w))
-
-
-def minimal_period(w: Word) -> int:
-    """Minimal period of the infinite repetition of ``w``.
-
-    Always a divisor of len(w): a bi-infinite sequence with periods p and q
-    also has period gcd(p, q).
-    """
-    if w.length == 0:
-        raise WordError("empty word has no period")
-    for d in range(1, w.length + 1):
-        if w.length % d:
-            continue
-        if all(w.letter(i) == w.letter(i % d) for i in range(w.length)):
-            return d
-    return w.length

@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from isostitch import VerificationResult, WordError, cli
-from isostitch.cli import report_from_dict, report_to_dict
+from isostitch import VerificationResult, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,6 +46,36 @@ def test_render_rejects_invalid_word(tmp_path):
     assert "invalid character" in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value", [("--unit-px", "0"), ("--stroke-width", "-1"),
+                                        ("--unit-px", "nan"), ("--stroke-width", "inf")])
+def test_render_rejects_bad_sizes(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.svg"
+    assert cli.main(["render", "--word", "0", "--window", "0:8:0:8", flag, value,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_render_front_never_builds_the_back_segment_set(tmp_path, monkeypatch, capsys):
+    designs = []
+    generate = cli.generate_design
+
+    def capturing(window, pattern):
+        designs.append(generate(window, pattern))
+        return designs[-1]
+
+    monkeypatch.setattr(cli, "generate_design", capturing)
+    out = tmp_path / "f.svg"
+    assert cli.main(["render", "--word-a", "01", "--word-b", "0", "--word-c", "0011",
+                     "--phase-c", "1", "--window=-7:19:-3:22", "--side", "front",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"493 front / 495 back segments -> {out}\n"
+    [design] = designs
+    assert "back" not in design.__dict__
+    assert (len(design.front), len(design.back)) == (493, 495)
+
+
 def test_render_reports_unwritable_path():
     proc = run_cli("render", "--word", "0", "--window", "0:8:0:8",
                    "--out", "/nonexistent-dir/x.svg")
@@ -81,14 +110,21 @@ def test_analyze_reference_patterns(tmp_path):
 
 
 def test_analyze_report_round_trips(tmp_path):
-    report = tmp_path / "r.json"
-    assert run_cli("analyze", "--word", "0", "--window=-24:24:-24:24",
-                   "--report", str(report)).returncode == 0
-    data = json.loads(report.read_text())
-    assert report_to_dict(report_from_dict(data)) == data
-    data["pattern"]["convention"]["presence_parity"] = [1, 0, 1]
-    with pytest.raises(WordError):
-        report_from_dict(data)
+    # The report names its pattern and window in full: given back as
+    # arguments, they reproduce the same report.
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    proc = run_cli("analyze", "--word-a", "01", "--word-b", "0", "--word-c", "0011",
+                   "--phase-c", "1", "--window=-24:24:-24:24", "--report", str(first))
+    data = json.loads(first.read_text())
+    assert data["pattern"]["convention"] == {
+        "presence_parity": [0, 0, 1], "phase_base": [0, 0, 0], "phase_slope": [1, 1, 1]}
+    args = ["--window={}:{}:{}:{}".format(*data["window"])]
+    for name, spec in zip("abc", data["pattern"]["directions"]):
+        assert spec["kind"] == "periodic"
+        args += [f"--word-{name}", spec["word"], f"--phase-{name}", str(spec["phase"])]
+    again = run_cli("analyze", *args, "--report", str(second))
+    assert again.returncode == proc.returncode
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("golden,args,code", [
@@ -131,7 +167,8 @@ def test_verify_koch_found_and_report(tmp_path):
     assert data["koch"]["found"] is True
     assert data["koch"]["phases"] == {"A": 0, "B": 0, "C": 1}
     assert len(data["koch"]["matched_cycle"]) == 48
-    assert report_to_dict(report_from_dict(data)) == data
+    assert [(d["kind"], d["order"], d["phase"]) for d in data["pattern"]["directions"]] == [
+        ("koch", 2, 0), ("koch", 2, 0), ("koch", 2, 1)]
 
 
 def test_verify_koch_not_found_exits_5(monkeypatch, capsys):
@@ -171,6 +208,21 @@ def test_calibrate_prints_accepted_conventions():
     assert proc.returncode == 0
     assert proc.stdout.count("accepting:") == 4
     assert "calibrated: base=(0, 0, 0) slope=(1, 1, 1)" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # Compare the module set before and after the import: site may already
+    # have loaded third-party modules.
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import isostitch.cli\n"
+             "added = set(sys.modules) - before\n"
+             "assert 'isostitch.cli' in added\n"
+             "print(sorted(m for m in added if m.split('.')[0] != 'isostitch'\n"
+             "             and m.split('.')[0] not in sys.stdlib_module_names))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_calibrate_is_reproducible():

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isostitch import (DIRECTIONS, EMPTY, VISITED, Family, LineId, SegmentId,
-                       NotAStitchLineError, Window, WindowError,
-                       is_line_present, lines_through, present_line_ordinal,
-                       segment_between, segment_direction, segment_endpoints,
-                       vertex_degree_class, vertex_to_cartesian)
+                       Window, WindowError, is_line_present, lines_through,
+                       segment_between, segment_endpoints, vertex_degree_class,
+                       vertex_to_cartesian)
+from stitch_rule import present_line_ordinal
 
 coords = st.integers(min_value=-50, max_value=50)
 vertices = st.tuples(coords, coords)
@@ -52,7 +52,7 @@ def test_present_line_ordinal():
     assert present_line_ordinal(LineId(Family.A, -4)) == -2
     assert present_line_ordinal(LineId(Family.C, 1)) == 0
     assert present_line_ordinal(LineId(Family.C, 5)) == 2
-    with pytest.raises(NotAStitchLineError):
+    with pytest.raises(ValueError):
         present_line_ordinal(LineId(Family.A, 3))
 
 
@@ -81,7 +81,8 @@ def test_segment_between_round_trips(v, d):
 def test_segment_direction_matches_family(v, d):
     u = (v[0] + DIRECTIONS[d][0], v[1] + DIRECTIONS[d][1])
     seg = segment_between(v, u)
-    assert segment_direction(seg) == DIRECTIONS[seg.family]
+    (i0, j0), (i1, j1) = segment_endpoints(seg)
+    assert (i1 - i0, j1 - j0) == DIRECTIONS[seg.family]
     assert seg.family == d % 3
 
 

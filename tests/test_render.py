@@ -94,6 +94,11 @@ def test_invalid_options_rejected():
         RenderOptions(unit_px=0)
     with pytest.raises(ValueError):
         RenderOptions(stroke_width=-1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RenderOptions(unit_px=value)
+        with pytest.raises(ValueError):
+            RenderOptions(stroke_width=value)
 
 
 @pytest.mark.parametrize("name,word,hi,opts", [

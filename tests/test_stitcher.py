@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from isostitch import (DEFAULT_CONVENTION, EMPTY, Design, DirectionSpec,
                        StitchPattern, Window, WordError, dual, generate_design,
-                       is_front, is_line_present, line_bit, lines_through,
-                       segment_between, segment_endpoints, vertex_degree_class)
+                       is_line_present, lines_through, segment_between,
+                       segment_endpoints, vertex_degree_class)
+from stitch_rule import is_front, line_bit
 
 spec_strategy = st.one_of(
     st.integers(0, 1).map(DirectionSpec.constant),

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
                        LatticeIsometry, LineId, OverlapTooSmallError, SegmentId,
                        StitchPattern, Window, classify_wallpaper, dual,
-                       generate_design, is_front, is_line_present, is_self_dual,
+                       generate_design, is_line_present, is_self_dual,
                        is_symmetry, period_cell, segment_between,
                        segment_endpoints, translation_basis)
 from isostitch.symmetry import IDENTITY, MIRROR_X, ROT60, _row_shift_period, point_matrix
+from stitch_rule import is_front
 
 
 def _design(word: str, half: int | None = None):
@@ -245,3 +246,50 @@ def test_witnesses_pass_exact_oracle(pattern):
         _exact_maps_front_onto(pattern, _centered(r, reflect, design.window, (ti, tj)), True)
         for reflect in (False, True) for r in range(6)
         for ti in range(ci) for tj in range(cj))
+
+
+def _groups(design):
+    """Wallpaper group of each side, or None where the window is too small."""
+    out = []
+    for side in (design, dual(design)):
+        try:
+            out.append(classify_wallpaper(side)[0])
+        except OverlapTooSmallError:
+            out.append(None)
+    return out
+
+
+_patterns = st.builds(
+    lambda words, phases, base, slope: StitchPattern(
+        specs=tuple(DirectionSpec.periodic(w, phase=p) for w, p in zip(words, phases)),
+        convention=GridConvention(phase_base=base, phase_slope=slope)),
+    st.tuples(_word, _word, _word), st.tuples(*[st.integers(0, 2)] * 3), _bits, _bits)
+
+
+@settings(max_examples=15, deadline=None)
+@given(pattern=_patterns, corner=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       which=st.integers(0, 1))
+def test_groups_are_unchanged_by_a_period_translation_of_the_window(pattern, corner, which):
+    # Four period cells: with three, most rotation checks find no full cell
+    # in the overlap and both sides come out None.
+    ci, cj = period_cell(pattern)
+    window = Window(corner[0], corner[0] + 4 * ci, corner[1], corner[1] + 4 * cj)
+    gi, gj = translation_basis(pattern)[which]
+    moved = Window(window.i_min + gi, window.i_max + gi, window.j_min + gj, window.j_max + gj)
+    assert _groups(generate_design(moved, pattern)) == _groups(generate_design(window, pattern))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pattern=_patterns, corner=st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_self_duality_is_symmetric_and_self_dual_sides_share_a_group(pattern, corner):
+    ci, cj = period_cell(pattern)
+    design = generate_design(
+        Window(corner[0], corner[0] + 4 * ci, corner[1], corner[1] + 4 * cj), pattern)
+    try:
+        found = is_self_dual(design)[0]
+        assert is_self_dual(dual(design))[0] == found
+    except OverlapTooSmallError:
+        return
+    if found:
+        front, back = _groups(design)
+        assert front == back

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import (InvalidOrderError, Word, WordError, complement, concat,
-                       koch_word, minimal_period, palindromic_period, reverse)
+                       koch_word, palindromic_period, reverse)
 
 words = st.text(alphabet="01", min_size=1, max_size=200).map(Word.parse)
 
@@ -88,17 +88,3 @@ def test_palindromic_period_shape(w):
     u = palindromic_period(w)
     assert len(u) == 2 * len(w)
     assert reverse(u) == u
-
-
-def test_minimal_period_examples():
-    assert minimal_period(Word.parse("0")) == 1
-    assert minimal_period(Word.parse("0101")) == 2
-    assert minimal_period(Word.parse("0001")) == 4
-    assert minimal_period(palindromic_period(koch_word(2))) == 6
-
-
-@given(words)
-def test_minimal_period_divides_length_and_tiles(w):
-    p = minimal_period(w)
-    assert len(w) % p == 0
-    assert all(w.letter(i) == w.letter(i % p) for i in range(len(w)))
