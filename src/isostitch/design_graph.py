@@ -16,33 +16,55 @@ from .grid import DIRECTION_INDEX, DIRECTIONS, Family
 from .stitcher import Design
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A closed stitch path; vertices[n] neighbors vertices[n+1] and the last
-    vertex neighbors the first. Stored in a canonical rotation: starts at the
-    least vertex and proceeds toward its lesser cycle-neighbor."""
+# Direction code c in 1..6 is direction index c - 1; code 0 means no stitch.
+_REVERSE = (0,) + tuple((d + 3) % 6 + 1 for d in range(6))
 
-    vertices: tuple[tuple[int, int], ...]
+
+@dataclass(frozen=True, slots=True)
+class Cycle:
+    """A closed stitch path in canonical form: start is its least vertex,
+    and codes holds the direction code (1..6, direction index + 1) of each
+    step, starting toward start's lesser cycle-neighbor. The last step
+    returns to start."""
+
+    start: tuple[int, int]
+    codes: bytes
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.codes)
+
+    @property
+    def vertices(self) -> tuple[tuple[int, int], ...]:
+        """The vertices in canonical order, each a neighbor of the next and
+        the last a neighbor of the first."""
+        i, j = self.start
+        out = [self.start]
+        for code in self.codes[:-1]:
+            di, dj = DIRECTIONS[code - 1]
+            i, j = i + di, j + dj
+            out.append((i, j))
+        return tuple(out)
 
     @classmethod
     def from_vertices(cls, verts: list[tuple[int, int]]) -> "Cycle":
+        """The cycle through verts in order (any rotation, either way round).
+        Raises ValueError unless each vertex, the last included, is a unit
+        lattice step from the previous one."""
         n = len(verts)
+        if n < 3:
+            raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
         start = min(range(n), key=lambda idx: verts[idx])
-        nxt, prv = verts[(start + 1) % n], verts[(start - 1) % n]
-        if prv < nxt:
-            ordered = [verts[(start - idx) % n] for idx in range(n)]
-        else:
-            ordered = [verts[(start + idx) % n] for idx in range(n)]
-        return cls(tuple(ordered))
-
-    def directions(self) -> list[int]:
-        out = []
-        for a, b in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
-            out.append(DIRECTION_INDEX[(b[0] - a[0], b[1] - a[1])])
-        return out
+        sense = -1 if verts[(start - 1) % n] < verts[(start + 1) % n] else 1
+        codes = bytearray()
+        a = verts[start]
+        for idx in range(1, n + 1):
+            b = verts[(start + sense * idx) % n]
+            d = DIRECTION_INDEX.get((b[0] - a[0], b[1] - a[1]))
+            if d is None:
+                raise ValueError(f"{tuple(a)} to {tuple(b)} is not a unit lattice step")
+            codes.append(d + 1)
+            a = b
+        return cls(tuple(verts[start]), bytes(codes))
 
 
 @dataclass(frozen=True)
@@ -52,10 +74,6 @@ class MotifCensus:
 
     def total_cycles(self) -> int:
         return sum(self.counts.values())
-
-
-# Direction code c in 1..6 is direction index c - 1; code 0 means no stitch.
-_REVERSE = (0,) + tuple((d + 3) % 6 + 1 for d in range(6))
 
 
 def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
@@ -78,7 +96,8 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     each line, filled by slice assignment with the line's stride of two
     positions (2*j_count for A-lines, 2 for B-lines, 2*(1 - j_count) for
     C-lines). A walk steps idx += step[code] and leaves each vertex by the
-    slot that is not the reverse of the code it arrived by. The empty
+    slot that is not the reverse of the code it arrived by, and keeps the
+    codes it steps by: a closed walk's codes are its Cycle's. The empty
     vertices (i and j both odd) start out seen, and the scan jumps to the
     next unseen vertex with bytearray.find.
 
@@ -127,22 +146,30 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     def points(idxs: list[int]) -> tuple[tuple[int, int], ...]:
         return tuple([(i_vals[v // j_count], j_vals[v % j_count]) for v in idxs])
 
-    def walk(start: int, code: int) -> tuple[list[int], bool]:
+    def walk(start: int, code: int) -> tuple[bytearray, bool]:
         """Follow the stitches from start, leaving it by code; returns the
-        vertices visited and whether the walk closed back onto start."""
-        out = [start]
+        codes of the steps taken and whether the walk closed back onto
+        start."""
+        codes = bytearray((code,))
         cur = start + step[code]
         while cur != start:
-            out.append(cur)
             seen[cur] = 1
             back = _REVERSE[code]
             code = one[cur]
             if code == back:
                 code = two[cur]
             if not code:
-                return out, False
+                return codes, False
+            codes.append(code)
             cur += step[code]
-        return out, True
+        return codes, True
+
+    def trail(start: int, codes: bytearray) -> list[int]:
+        """The vertices an open walk from start visits."""
+        out = [start]
+        for code in codes:
+            out.append(out[-1] + step[code])
+        return out
 
     cycles: list[Cycle] = []
     paths: list[tuple[tuple[int, int], ...]] = []
@@ -155,12 +182,13 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             first, other = other, first
         if first:
             # v is the least vertex of its component: every lesser one was seen
-            verts, closed = walk(v, first)
+            codes, closed = walk(v, first)
             if closed:
-                cycles.append(Cycle(points(verts)))
+                cycles.append(Cycle((i_vals[v // j_count], j_vals[v % j_count]), bytes(codes)))
             else:
+                verts = trail(v, codes)
                 if other:
-                    verts = walk(v, other)[0][:0:-1] + verts
+                    verts = trail(v, walk(v, other)[0])[:0:-1] + verts
                 if verts[0] > verts[-1]:
                     verts.reverse()
                 paths.append(points(verts))
@@ -191,20 +219,22 @@ def _least_rotation(s: str) -> str:
     return d[k:k + n]
 
 
-def _direction_variants(dirs: list[int]) -> list[str]:
-    variants = []
-    rev = [(dd + 3) % 6 for dd in reversed(dirs)]
-    for seq in (dirs, rev):
-        for r in range(6):
-            variants.append("".join(str((dd + r) % 6) for dd in seq))
-            variants.append("".join(str((r - dd) % 6) for dd in seq))
-    return variants
+# One bytes.translate table per lattice point symmetry, rotation by r
+# composed with reflection or not: direction code d + 1 becomes the ASCII
+# digit of direction (r + d) or (r - d) mod 6. Reversing a traversal turns
+# each direction d into d + 3, which only permutes these 12 tables, so the
+# reversed codes need no table of their own.
+_POINT_IMAGES = tuple(
+    bytes.maketrans(bytes(range(1, 7)), "".join(str((r + sign * d) % 6) for d in range(6)).encode())
+    for r in range(6) for sign in (1, -1))
 
 
 def motif_signature(cycle: Cycle) -> str:
     """Canonical form of the cycle's edge-direction sequence, invariant under
     translation, the 12 lattice point symmetries, and traversal direction."""
-    return min(_least_rotation(v) for v in _direction_variants(cycle.directions()))
+    codes = cycle.codes
+    return min(_least_rotation(seq.translate(table).decode())
+               for seq in (codes, codes[::-1]) for table in _POINT_IMAGES)
 
 
 def motif_census(design: Design, side: str) -> MotifCensus:

@@ -30,7 +30,7 @@ class KochPolygon:
 
     @property
     def segment_count(self) -> int:
-        return len(self.cycle.vertices)
+        return len(self.cycle)
 
 
 def _replaced_side(direction: int, depth: int) -> list[int]:
@@ -122,7 +122,7 @@ def _pattern_for(order: int, phases: tuple[int, int, int]) -> StitchPattern:
 def _design_contains_polygon(design: Design, length: int, target_sig) -> Cycle | None:
     cycles, _ = build_components(design, side="front")
     for cyc in cycles:
-        if len(cyc.vertices) == length and motif_signature(cyc) == target_sig:
+        if len(cyc) == length and motif_signature(cyc) == target_sig:
             return cyc
     return None
 

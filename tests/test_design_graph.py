@@ -9,6 +9,7 @@ from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
                        generate_design, koch_polygon, motif_census,
                        motif_signature, segment_endpoints, translation_basis)
 from isostitch.design_graph import _least_rotation
+from isostitch.grid import DIRECTION_INDEX, DIRECTIONS
 
 
 def _design(word: str, hi: int):
@@ -65,9 +66,21 @@ def test_cycle_canonical_form_is_traversal_independent():
 
 def test_cycle_directions_are_unit_steps_closing_up():
     cyc = koch_polygon(2).cycle
-    dirs = cyc.directions()
-    assert len(dirs) == len(cyc.vertices) == 48
-    assert all(0 <= d < 6 for d in dirs)
+    assert len(cyc.codes) == len(cyc.vertices) == 48
+    assert all(1 <= code <= 6 for code in cyc.codes)
+    steps = [DIRECTIONS[code - 1] for code in cyc.codes]
+    assert (sum(di for di, _ in steps), sum(dj for _, dj in steps)) == (0, 0)
+
+
+@pytest.mark.parametrize("verts", [
+    [(0, 0), (2, 0), (0, 1)],  # a step of length 2
+    [(0, 0), (1, 0), (2, 0)],  # the closing step is not a unit step
+    [(0, 0), (1, 0)],
+    [(0, 0)],
+])
+def test_from_vertices_rejects_what_is_not_a_lattice_cycle(verts):
+    with pytest.raises(ValueError):
+        Cycle.from_vertices(verts)
 
 
 def _transform(verts, rotation, reflect, t):
@@ -77,13 +90,36 @@ def _transform(verts, rotation, reflect, t):
             for i, j in verts]
 
 
+def _reference_signature(cycle):
+    """The signature as the minimum, over the 24 string-joined direction
+    sequences of the cycle's images, of their least rotations, with the
+    directions read off the vertex tuples."""
+    verts = cycle.vertices
+    dirs = [DIRECTION_INDEX[(b[0] - a[0], b[1] - a[1])]
+            for a, b in zip(verts, verts[1:] + verts[:1])]
+    rev = [(d + 3) % 6 for d in reversed(dirs)]
+    variants = []
+    for seq in (dirs, rev):
+        for r in range(6):
+            variants.append("".join(str((d + r) % 6) for d in seq))
+            variants.append("".join(str((r - d) % 6) for d in seq))
+    return min(_least_rotation(v) for v in variants)
+
+
+# a parallelogram of sides 2 and 1, unlike the snowflakes not mapped onto
+# itself by any reflection
+_CHIRAL = Cycle.from_vertices([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)])
+
+
+@settings(deadline=None)
 @given(st.integers(0, 5), st.booleans(),
        st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
-       st.sampled_from([1, 2]))
-def test_signature_is_isometry_invariant(rotation, reflect, t, order):
-    base = koch_polygon(order).cycle
+       st.one_of(st.integers(0, 4).map(lambda order: koch_polygon(order).cycle),
+                 st.just(_CHIRAL)))
+def test_signature_is_isometry_invariant(rotation, reflect, t, base):
     moved = Cycle.from_vertices(_transform(list(base.vertices), rotation, reflect, t))
-    assert motif_signature(moved) == motif_signature(base)
+    assert motif_signature(moved) == motif_signature(base) == _reference_signature(moved)
+    assert Cycle.from_vertices(moved.vertices) == moved
 
 
 def test_different_motifs_have_different_signatures():
@@ -163,6 +199,18 @@ def test_components_match_adjacency_oracle(specs, conv, i0, j0, w, h):
     _assert_matches_oracle(dual(design))
 
 
+@settings(deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 30), st.integers(0, 30))
+def test_signature_matches_the_string_join_reference(specs, conv, i0, j0, w, h):
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    for side in ("front", "back"):
+        for cycle in build_components(design, side)[0]:
+            assert motif_signature(cycle) == _reference_signature(cycle)
+            assert Cycle.from_vertices(cycle.vertices) == cycle
+
+
 @pytest.mark.parametrize("order,phases,window", [
     (2, (0, 0, 1), Window(0, 44, 0, 44)),
     (2, (0, 3, 5), Window(-7, 30, 3, 41)),
@@ -204,3 +252,18 @@ def test_build_components_working_memory_is_a_few_bytes_per_vertex():
         tracemalloc.stop()
     assert result[0]
     assert peak - held <= 8 * window.vertex_count()
+
+
+def test_build_components_result_is_a_few_bytes_per_cycle_vertex():
+    # A cycle is its least vertex and one byte per step; vertex tuples per
+    # cycle would cost about a hundred bytes per vertex and, at Koch order
+    # 6, most of the memory the search needs.
+    pattern = StitchPattern(specs=tuple(DirectionSpec.koch(3, phase=p) for p in (0, 0, 1)))
+    design = generate_design(Window(0, 116, 0, 116), pattern)
+    tracemalloc.start()
+    try:
+        cycles, paths = build_components(design, "front")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 60 * sum(len(c) for c in cycles)
