@@ -34,9 +34,7 @@ KOCH_PHASES = (0, 0, 1)
 
 def _spec_to_dict(spec: DirectionSpec) -> dict:
     out: dict = {"kind": spec.kind}
-    if spec.kind == "constant":
-        out["bit"] = spec.bit
-    elif spec.kind == "periodic":
+    if spec.kind == "periodic":
         out["word"] = str(spec.word)
     else:
         out["order"] = spec.order
@@ -281,7 +279,7 @@ def calibrate() -> tuple[GridConvention, list[GridConvention]]:
     """Brute-force the 64 stitch anchoring conventions (phase base and slope
     per direction; presence parity is the fixed grid.PRESENCE_PARITY).
 
-    A convention is accepted when the all-constant-0 design on a 40x40
+    A convention is accepted when the all-0 design on a 40x40
     window has degree-2 and quarter-empty invariants, a front census that is
     a single 12-segment motif class, and full hexagonal symmetry with
     mirrors. Returns the lexicographically least accepting convention plus
@@ -295,7 +293,7 @@ def calibrate() -> tuple[GridConvention, list[GridConvention]]:
             base = tuple((base_bits >> f) & 1 for f in range(3))
             slope = tuple((slope_bits >> f) & 1 for f in range(3))
             conv = GridConvention(phase_base=base, phase_slope=slope)
-            pattern = StitchPattern.uniform(DirectionSpec.constant(0), convention=conv)
+            pattern = StitchPattern.uniform(DirectionSpec.periodic("0"), convention=conv)
             design = generate_design(win, pattern)
             inv = invariant_results(design)
             if not all(entry["pass"] for entry in inv.values()):

@@ -48,11 +48,13 @@ class Cycle:
     @classmethod
     def from_vertices(cls, verts: list[tuple[int, int]]) -> "Cycle":
         """The cycle through verts in order (any rotation, either way round).
-        Raises ValueError unless each vertex, the last included, is a unit
-        lattice step from the previous one."""
+        Raises ValueError unless the vertices are distinct and each, the
+        last included, is a unit lattice step from the previous one."""
         n = len(verts)
         if n < 3:
             raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+        if len(set(verts)) != n:
+            raise ValueError("a cycle visits each of its vertices once")
         start = min(range(n), key=lambda idx: verts[idx])
         sense = -1 if verts[(start - 1) % n] < verts[(start + 1) % n] else 1
         codes = bytearray()

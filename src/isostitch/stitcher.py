@@ -24,7 +24,6 @@ from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
                    SegmentId, Window)
 from .words import Word, koch_word, palindromic_period
 
-CONSTANT = "constant"
 PERIODIC = "periodic"
 KOCH = "koch"
 
@@ -33,7 +32,6 @@ KOCH = "koch"
 class DirectionSpec:
     """Offset bits for the present lines of one family.
 
-    kind "constant": every line gets ``bit``.
     kind "periodic": line with ordinal m gets word[(m + phase) mod len].
     kind "koch": periodic with word = koch_word(order) followed by its
     reversal, the sequence actually stitched when working the word forwards
@@ -41,14 +39,9 @@ class DirectionSpec:
     """
 
     kind: str
-    bit: int = 0
     word: Word | None = None
     order: int | None = None
     phase: int = 0
-
-    @classmethod
-    def constant(cls, bit: int, phase: int = 0) -> "DirectionSpec":
-        return cls(CONSTANT, bit=bit, phase=phase)
 
     @classmethod
     def periodic(cls, word: Word | str, phase: int = 0) -> "DirectionSpec":
@@ -64,8 +57,6 @@ class DirectionSpec:
 
     def bit_sequence(self) -> Word:
         """The periodic bit sequence indexed by present-line ordinal."""
-        if self.kind == CONSTANT:
-            return Word(1, self.bit)
         if self.kind == PERIODIC:
             assert self.word is not None
             return self.word

@@ -11,15 +11,26 @@ wherever both are visible, and only if that overlap is big enough to contain
 a full period cell of the design (otherwise the test would be vacuous and an
 OverlapTooSmallError is raised). Periodicity extends a certified patch
 symmetry to the whole plane.
+
+The search uses exact integer and rational arithmetic, no floats. For a
+reflection M, the pure reflections are (M, k n), where n is the primitive
+integer vector with (M + I) n = 0. A verified reflection (M, t) is a mirror
+when some k n lies in t + Lambda, tested on the Hermite-form basis of the
+translation lattice Lambda, and a proper glide otherwise. Its mirror witness
+is the pure reflection of that class nearest the window middle a: least
+Q(M a + k n - a), where Q(x, y) = x^2 + xy + y^2 is four times the squared
+distance from a to the axis, with exact ties going to the lesser
+translation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import cos, gcd, pi, sin
+from itertools import count
+from math import gcd
 
 from .errors import OverlapTooSmallError
-from .grid import SQRT3_2, Family, SegmentId, Window, segment_between, segment_endpoints
+from .grid import Family, SegmentId, Window, segment_between, segment_endpoints
 from .stitcher import Design, StitchPattern
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -213,28 +224,18 @@ def _candidate_centers(cell: tuple[int, int], kinds: str, anchor: tuple[int, int
     return out
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
+def _norm(v: tuple[int, int]) -> int:
+    """Q(x, y) = x^2 + xy + y^2, the squared length of a lattice vector."""
+    return v[0] * v[0] + v[0] * v[1] + v[1] * v[1]
 
 
-def _in_image_lattice(lattice: tuple[tuple[int, int], list[int]],
-                      w: tuple[int, int]) -> bool:
-    """Is w in (M + I) * Lambda, given _Engine._image_lattice(M)?"""
-    u, coef = lattice
-    if u == (0, 0):
-        return w == (0, 0)
-    g = gcd(coef[0], coef[1])
-    if w == (0, 0):
-        return True
-    if w[0] * u[1] != w[1] * u[0]:
-        return False
-    mm = w[0] // u[0] if u[0] else w[1] // u[1]
-    if (mm * u[0], mm * u[1]) != w:
-        return False
-    return g != 0 and mm % g == 0
+def _kernel_line(m: Matrix) -> tuple[int, int]:
+    """The primitive integer n with (M + I) n = 0 for a reflection M: the
+    pure reflections with point part M are exactly (M, k n)."""
+    p, q = next(row for row in ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
+                if row != (0, 0))
+    g = gcd(p, q)
+    return -q // g, p // g
 
 
 class _Engine:
@@ -259,99 +260,65 @@ class _Engine:
                 return order, hits
         return 1, []
 
+    def cell_rows(self, rotation: int, reflect: bool):
+        """Translations in one period cell around the one that makes the
+        point part fix the anchor, one row per first coordinate."""
+        bt = _fixing(rotation, reflect, self.anchor).translation
+        for ti in range(self.cell[0]):
+            yield [(bt[0] + ti, bt[1] + tj) for tj in range(self.cell[1])]
+
+    def _in_lattice(self, v: tuple[int, int]) -> bool:
+        """Is v in Lambda? Read off the Hermite-form basis (a, 0), (e, b)."""
+        (a, _), (e, b) = self.basis
+        return v[1] % b == 0 and (v[0] - v[1] // b * e) % a == 0
+
     def reflection_survey(self) -> dict[int, dict[str, LatticeIsometry]]:
         """Per axis direction r (axis angle 30*r degrees): a verified mirror
         and/or proper glide witness, when they exist.
 
         Translation parts are scanned over one period cell around the value
         that parks the axis at the window middle, so certified overlaps exist
-        on off-center windows too; a hit whose doubled glide vector t + M t
-        lies in (M + I) * Lambda is equivalent, modulo lattice translations,
-        to a pure mirror on a parallel axis."""
+        on off-center windows too. The k with k n in t + Lambda repeat with
+        period q, the least k > 0 with k n in Lambda."""
         out: dict[int, dict[str, LatticeIsometry]] = {}
         for r in range(6):
             m = point_matrix(r, True)
-            lattice = self._image_lattice(m)
-            bt = _fixing(r, True, self.anchor).translation
+            n = _kernel_line(m)
+            q = next(k for k in count(1) if self._in_lattice((k * n[0], k * n[1])))
             found: dict[str, LatticeIsometry] = {}
-            for ti in range(self.cell[0]):
-                for tj in range(self.cell[1]):
-                    t = (bt[0] + ti, bt[1] + tj)
+            for row in self.cell_rows(r, True):
+                for t in row:
                     iso = LatticeIsometry(rotation=r, reflect=True, translation=t)
                     if not is_symmetry(self.design, iso):
                         continue
-                    w = _apply(m, t, t)
-                    if _in_image_lattice(lattice, w):
-                        if "mirror" not in found:
-                            found["mirror"] = self._pure_mirror(r, m, t, w, lattice)
-                    elif "glide" not in found:
-                        found["glide"] = iso
+                    k0 = next((k for k in range(q)
+                               if self._in_lattice((k * n[0] - t[0], k * n[1] - t[1]))), None)
+                    if k0 is None:
+                        found.setdefault("glide", iso)
+                    elif "mirror" not in found:
+                        found["mirror"] = self._pure_mirror(r, m, n, k0, q)
                 if len(found) == 2:
                     break
             if found:
                 out[r] = found
         return out
 
-    def _image_lattice(self, m: Matrix) -> tuple[tuple[int, int], list[int]]:
-        """(M + I) * Lambda is rank 1 for reflections: returns a primitive
-        direction u and the integer coefficients of the basis images."""
-        mi = ((m[0][0] + 1, m[0][1]), (m[1][0], m[1][1] + 1))
-        imgs = [_apply(mi, (0, 0), g) for g in self.basis]
-        nz = [u for u in imgs if u != (0, 0)]
-        if not nz:
-            return (0, 0), [0, 0]
-        ux, uy = nz[0]
-        d = gcd(abs(ux), abs(uy))
-        ux, uy = ux // d, uy // d
-        coef = []
-        for vx, vy in imgs:
-            coef.append(vx // ux if ux else vy // uy)
-        return (ux, uy), coef
-
-    def _kernel_vector(self, coef: list[int]) -> tuple[int, int]:
-        """Primitive lattice vector annihilated by M + I (the perpendicular
-        direction of a reflection axis), from the basis-image coefficients
-        of _image_lattice(M). Shifting a pure mirror by it moves the axis
-        without reintroducing a glide component."""
-        g = gcd(coef[0], coef[1]) or 1
-        x, y = coef[1] // g, -coef[0] // g
-        return (x * self.basis[0][0] + y * self.basis[1][0],
-                x * self.basis[0][1] + y * self.basis[1][1])
-
-    def _pure_mirror(self, r: int, m: Matrix, t: tuple[int, int], w: tuple[int, int],
-                     lattice: tuple[tuple[int, int], list[int]]) -> LatticeIsometry:
-        """Shift a mirror-class hit by a lattice translation so its glide
-        vector vanishes; the fixed axis then passes through t'/2."""
-        u, coef = lattice
-        if w == (0, 0):
-            lam = (0, 0)
-        else:
-            g, x0, y0 = _egcd(coef[0], coef[1])
-            mm = w[0] // u[0] if u[0] else w[1] // u[1]
-            f = -mm // g
-            x, y = x0 * f, y0 * f
-            lam = (x * self.basis[0][0] + y * self.basis[1][0],
-                   x * self.basis[0][1] + y * self.basis[1][1])
-        tt = (t[0] + lam[0], t[1] + lam[1])
-        n = self._kernel_vector(coef)
-        if n != (0, 0):
-            tt = min(((tt[0] + k * n[0], tt[1] + k * n[1]) for k in range(-12, 13)),
-                     key=lambda v: (self._axis_to_anchor(r, v), v))
+    def _pure_mirror(self, r: int, m: Matrix, n: tuple[int, int],
+                     k0: int, q: int) -> LatticeIsometry:
+        """The pure reflection (M, k n), k = k0 mod q, nearest the window
+        middle a, by Q(M a + k n - a), then least translation. M a - a = c n,
+        so the nearest k are the two of the class next to -c."""
+        a = self.anchor
+        d = _apply(m, (-a[0], -a[1]), a)
+        c = d[0] // n[0] if n[0] else d[1] // n[1]
+        lo = -c - (-c - k0) % q
+        tt = min(((k * n[0], k * n[1]) for k in (lo, lo + q)),
+                 key=lambda s: (_norm(_apply(m, (s[0] - a[0], s[1] - a[1]), a)), s))
         assert _apply(m, tt, tt) == (0, 0), "glide vector did not cancel"
         center = (Fraction(tt[0], 2), Fraction(tt[1], 2))
         iso = LatticeIsometry(rotation=r, reflect=True, translation=tt, center=center)
         assert is_symmetry(self.design, iso)
         return iso
-
-    def _axis_to_anchor(self, r: int, t: tuple[int, int]) -> float:
-        """Distance from the window middle to the mirror axis of the pure
-        reflection (r, t); used only to pick the best certified witness."""
-        ax, ay = cos(pi * r / 6), sin(pi * r / 6)
-        def cart(x: float, y: float) -> tuple[float, float]:
-            return x + y / 2, y * SQRT3_2
-        px, py = cart(*self.anchor)
-        qx, qy = cart(t[0] / 2, t[1] / 2)
-        return abs((px - qx) * ay - (py - qy) * ax)
 
     def on_mirror(self, c: tuple[Fraction, Fraction]) -> bool:
         """Does some verified mirror axis pass through the point c?"""
@@ -387,19 +354,13 @@ def classify_wallpaper(design: Design) -> tuple[str, list[LatticeIsometry]]:
 
     order, rot_hits = eng.rotation_hits()
     if rot_hits:
-        first = rot_hits[0]
-        witnesses.append(LatticeIsometry(first.rotation, False, first.translation,
-                                         first.center, role=f"rotation-{order}"))
+        witnesses.append(replace(rot_hits[0], role=f"rotation-{order}"))
 
     survey = eng.reflection_survey()
     mirrors = {r: d["mirror"] for r, d in survey.items() if "mirror" in d}
     glides = {r: d["glide"] for r, d in survey.items() if "glide" in d}
-    for r, iso in sorted(mirrors.items()):
-        witnesses.append(LatticeIsometry(iso.rotation, True, iso.translation,
-                                         iso.center, role="mirror"))
-    for r, iso in sorted(glides.items()):
-        witnesses.append(LatticeIsometry(iso.rotation, True, iso.translation,
-                                         None, role="glide"))
+    for role, found in (("mirror", mirrors), ("glide", glides)):
+        witnesses += [replace(iso, role=role) for _, iso in sorted(found.items())]
 
     has_mirror = bool(mirrors)
     has_glide = bool(glides)
@@ -441,11 +402,9 @@ def is_self_dual(design: Design) -> tuple[bool, LatticeIsometry | None]:
     eng = _Engine(design)
     for reflect in (False, True):
         for rotation in range(6):
-            bt = _fixing(rotation, reflect, eng.anchor).translation
-            for ti in range(eng.cell[0]):
-                for tj in range(eng.cell[1]):
-                    iso = LatticeIsometry(rotation, reflect, (bt[0] + ti, bt[1] + tj),
-                                          role="self-dual")
+            for row in eng.cell_rows(rotation, reflect):
+                for t in row:
+                    iso = LatticeIsometry(rotation, reflect, t, role="self-dual")
                     if _maps_front_onto(design, iso, design.back):
                         return True, iso
     return False, None

@@ -99,7 +99,7 @@ def test_criterion_2_dilute_invariants_on_random_patterns():
 def test_criterion_3_hexagram_reproduction():
     t0 = time.perf_counter()
     design = generate_design(Window(0, 39, 0, 39),
-                             StitchPattern.uniform(DirectionSpec.constant(0)))
+                             StitchPattern.uniform(DirectionSpec.periodic("0")))
     front = motif_census(design, "front")
     back = motif_census(design, "back")
     hexagram = motif_signature(koch_polygon(1).cycle)

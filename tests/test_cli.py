@@ -141,6 +141,19 @@ def test_analyze_report_matches_golden(tmp_path, golden, args, code):
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_analyze_breaks_an_exact_mirror_tie_toward_the_lesser_translation(tmp_path):
+    # The vertical mirror axes through (21/2, 0) and (23/2, 0) lie equally
+    # near the window middle (12, -2); the witness is the lesser translation.
+    report = tmp_path / "r.json"
+    assert cli.main(["analyze", "--word-a", "11", "--word-b", "10", "--word-c", "10",
+                     "--window=8:16:-10:6", "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    for side in ("front", "back"):
+        [mirror] = [w for w in data["wallpaper"][side]["witnesses"] if w["role"] == "mirror"]
+        assert mirror["rotation"] == 3
+        assert (mirror["translation"], mirror["center"]) == ([21, 0], ["21/2", "0"])
+
+
 def test_analyze_is_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -77,6 +77,8 @@ def test_cycle_directions_are_unit_steps_closing_up():
     [(0, 0), (1, 0), (2, 0)],  # the closing step is not a unit step
     [(0, 0), (1, 0)],
     [(0, 0)],
+    [(0, 0), (1, 0), (0, 0), (1, 0)],  # retraces one edge
+    [(0, 0), (1, 0), (0, 1)] * 2,  # a triangle listed twice
 ])
 def test_from_vertices_rejects_what_is_not_a_lattice_cycle(verts):
     with pytest.raises(ValueError):
@@ -179,7 +181,7 @@ def _assert_matches_oracle(design):
 
 
 mixed_spec = st.one_of(
-    st.integers(0, 1).map(DirectionSpec.constant),
+    st.sampled_from("01").map(DirectionSpec.periodic),
     st.builds(DirectionSpec.periodic, st.text(alphabet="01", min_size=1, max_size=8),
               phase=st.integers(-5, 5)))
 _bits = st.tuples(*[st.integers(0, 1)] * 3)

@@ -42,7 +42,7 @@ def test_back_is_dashed_and_secondary():
 
 
 def test_empty_design_with_dots_has_only_dot_elements():
-    pat = StitchPattern.uniform(DirectionSpec.constant(0))
+    pat = StitchPattern.uniform(DirectionSpec.periodic("0"))
     d = generate_design(Window(0, 6, 0, 6), pat)
     empty = replace(d, lines=((), (), ()))
     svg = to_svg(empty, RenderOptions(show_grid_dots=True,

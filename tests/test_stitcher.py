@@ -9,7 +9,7 @@ from isostitch import (DEFAULT_CONVENTION, EMPTY, Design, DirectionSpec,
 from stitch_rule import is_front, line_bit
 
 spec_strategy = st.one_of(
-    st.integers(0, 1).map(DirectionSpec.constant),
+    st.sampled_from("01").map(DirectionSpec.periodic),
     st.builds(DirectionSpec.periodic,
               st.text(alphabet="01", min_size=1, max_size=6),
               phase=st.integers(-3, 3)),
@@ -25,7 +25,6 @@ window_strategy = st.builds(
 
 
 def test_direction_spec_kinds():
-    assert str(DirectionSpec.constant(1).bit_sequence()) == "1"
     assert str(DirectionSpec.periodic("0110").bit_sequence()) == "0110"
     assert str(DirectionSpec.koch(2).bit_sequence()) == "110011"
     with pytest.raises(WordError):
@@ -39,7 +38,7 @@ def test_uniform_pattern():
 
 
 def test_single_point_window_has_at_most_two_segments():
-    pat = StitchPattern.uniform(DirectionSpec.constant(0))
+    pat = StitchPattern.uniform(DirectionSpec.periodic("0"))
     d = generate_design(Window(0, 0, 0, 0), pat)
     assert len(d.front) + len(d.back) <= 2
 

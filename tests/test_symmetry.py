@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -293,3 +293,50 @@ def test_self_duality_is_symmetric_and_self_dual_sides_share_a_group(pattern, co
     if found:
         front, back = _groups(design)
         assert front == back
+
+
+def _q(v):
+    """x^2 + xy + y^2: the squared length of the lattice vector v."""
+    return v[0] * v[0] + v[0] * v[1] + v[1] * v[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(pattern=_patterns, corner=st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+def test_mirror_witness_is_the_nearest_pure_reflection_of_its_class(pattern, corner):
+    ci, cj = period_cell(pattern)
+    window = Window(corner[0], corner[0] + 4 * ci, corner[1], corner[1] + 4 * cj)
+    design = generate_design(window, pattern)
+    g1, g2 = translation_basis(pattern)
+    det = g1[0] * g2[1] - g1[1] * g2[0]
+
+    def in_lattice(v):
+        return ((v[0] * g2[1] - v[1] * g2[0]) % det == 0
+                and (g1[0] * v[1] - g1[1] * v[0]) % det == 0)
+
+    a = ((window.i_min + window.i_max) // 2, (window.j_min + window.j_max) // 2)
+    for side in (design, dual(design)):
+        try:
+            _, witnesses = classify_wallpaper(side)
+        except OverlapTooSmallError:
+            continue
+        for w in (w for w in witnesses if w.role == "mirror"):
+            t = w.translation
+            assert w.apply(t) == (0, 0), "a pure reflection: M t + t = 0"
+            assert _exact_maps_front_onto(pattern, w, flip=False)
+
+            def key(s):
+                # Q of the displacement of a: 4 * (distance from a to the axis)^2
+                ma = LatticeIsometry(w.rotation, True, s).apply(a)
+                return _q((ma[0] - a[0], ma[1] - a[1])), s
+
+            point = LatticeIsometry(w.rotation, True)
+            n = next((x, y) for x in range(-2, 3) for y in range(-2, 3)
+                     if gcd(x, y) == 1 and point.apply((x, y)) == (-x, -y))
+            # M a - a = c n, and det n is in the lattice, so the nearest k of
+            # the class lies within |det| of -c
+            d = point.apply(a)
+            reach = abs(d[0] - a[0]) + abs(d[1] - a[1]) + abs(det)
+            for k in range(-reach, reach + 1):
+                s = (k * n[0], k * n[1])
+                if in_lattice((s[0] - t[0], s[1] - t[1])):
+                    assert key(s) >= key(t)
