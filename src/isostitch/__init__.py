@@ -7,8 +7,8 @@ verifies which Koch snowflake iterates they contain.
 """
 __version__ = "0.1.0"
 
-from .design_graph import (Cycle, MotifCensus, build_components, motif_census,
-                           motif_signature)
+from .design_graph import (Cycle, MotifCensus, build_components,
+                           direction_slots, motif_census, motif_signature)
 from .errors import (CalibrationError, InvalidOrderError, IsostitchError,
                      OverlapTooSmallError, WindowError, WordError)
 from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, PRESENCE_PARITY,
@@ -28,8 +28,8 @@ from .words import (Word, complement, concat, koch_word, palindromic_period,
 
 __all__ = [
     "__version__",
-    "Cycle", "MotifCensus", "build_components", "motif_census",
-    "motif_signature",
+    "Cycle", "MotifCensus", "build_components", "direction_slots",
+    "motif_census", "motif_signature",
     "CalibrationError", "InvalidOrderError", "IsostitchError",
     "OverlapTooSmallError", "WindowError", "WordError",
     "DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "PRESENCE_PARITY", "VISITED",

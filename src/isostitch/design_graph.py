@@ -78,15 +78,15 @@ class MotifCensus:
         return sum(self.counts.values())
 
 
-def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
-    """Decompose one side into cycles and open paths.
+def _steps(j_count: int) -> tuple[int, ...]:
+    """Window index offset of one step by each direction code (0: none)."""
+    return (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
 
-    Stitch graphs have maximum degree 2, so every component is a simple path
-    or a simple cycle; open paths can only occur where the window boundary
-    cut a loop.
 
-    Works from the design's line rows without building segment sets, on
-    window vertex indices v = (i - i_min) * j_count + (j - j_min), so index
+def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
+    """Per window vertex, the direction codes of its stitches on one side.
+
+    Vertices are numbered v = (i - i_min) * j_count + (j - j_min), so index
     order is vertex order. A visited vertex lies on two present lines: A-line
     j at position i and C-line i + j at position j, with B-line i at position
     j taking the slot that is free. On each present line a stitch of this
@@ -95,24 +95,15 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     are every second one (Design.runs gives the first and their count), and
     their partners the positions just after them.
     Two bytearrays hold per vertex the direction code toward its partner on
-    each line, filled by slice assignment with the line's stride of two
-    positions (2*j_count for A-lines, 2 for B-lines, 2*(1 - j_count) for
-    C-lines). A walk steps idx += step[code] and leaves each vertex by the
-    slot that is not the reverse of the code it arrived by, and keeps the
-    codes it steps by: a closed walk's codes are its Cycle's. The empty
-    vertices (i and j both odd) start out seen, and the scan jumps to the
-    next unseen vertex with bytearray.find.
-
-    Deterministic: cycles are listed by least vertex, each starting there
-    and proceeding toward its lesser neighbor (Cycle's canonical form);
-    paths run from their lesser endpoint and are listed in that endpoint's
-    order.
+    each line (0 where there is none), filled by slice assignment with the
+    line's stride of two positions (2*j_count for A-lines, 2 for B-lines,
+    2*(1 - j_count) for C-lines). Every stitch is recorded at both ends.
     """
     win = design.window
     j_count = win.j_count
     n = win.vertex_count()
     one, two = bytearray(n), bytearray(n)
-    step = (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
+    step = _steps(j_count)
 
     def put(slot: bytearray, v: int, stride: int, count: int, code: int) -> None:
         if stride < 0:
@@ -133,6 +124,33 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             v, ahead, behind = (k - p - win.i_min) * j_count + p - win.j_min, two, two
         put(ahead, v, 2 * d, count, family + 1)
         put(behind, v + d, 2 * d, count, family + 4)
+    return one, two
+
+
+def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
+    """Decompose one side into cycles and open paths.
+
+    Stitch graphs have maximum degree 2, so every component is a simple path
+    or a simple cycle; open paths can only occur where the window boundary
+    cut a loop.
+
+    Works from the design's line rows without building segment sets, on the
+    per-vertex direction codes of direction_slots. A walk steps idx +=
+    step[code] and leaves each vertex by the slot that is not the reverse of
+    the code it arrived by, and keeps the codes it steps by: a closed walk's
+    codes are its Cycle's. The empty vertices (i and j both odd) start out
+    seen, and the scan jumps to the next unseen vertex with bytearray.find.
+
+    Deterministic: cycles are listed by least vertex, each starting there
+    and proceeding toward its lesser neighbor (Cycle's canonical form);
+    paths run from their lesser endpoint and are listed in that endpoint's
+    order.
+    """
+    win = design.window
+    j_count = win.j_count
+    n = win.vertex_count()
+    one, two = direction_slots(design, side)
+    step = _steps(j_count)
 
     seen = bytearray(n)
     i_odd, j_odd = win.i_min | 1, win.j_min | 1

@@ -8,13 +8,18 @@ or the calibration, so a verification hit is genuine cross-validation: two
 unrelated constructions producing the same cycle.
 
 verify_koch stitches the order-n word in all three directions and asks
-whether some front cycle is the order-n polygon, up to lattice isometry.
+whether some front cycle is the order-n polygon, up to lattice isometry. It
+walks no candidate's cycles: it places each point image of the polygon at
+every window vertex where it fits, and intersects shifted bitmaps of the
+front stitches per direction until only the placements whose every edge is
+a front stitch are left. A hit is re-found by the component walk on its
+bounding window and matched by motif signature before it is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design_graph import Cycle, build_components, motif_signature
+from .design_graph import Cycle, build_components, direction_slots, motif_signature
 from .errors import InvalidOrderError, WindowError
 from .grid import DIRECTIONS, Window
 from .stitcher import Design, DirectionSpec, StitchPattern, generate_design
@@ -118,12 +123,104 @@ def _pattern_for(order: int, phases: tuple[int, int, int]) -> StitchPattern:
     return StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in phases))
 
 
-def _design_contains_polygon(design: Design, length: int, target_sig) -> Cycle | None:
-    cycles, _ = build_components(design, side="front")
-    for cyc in cycles:
-        if len(cyc) == length and motif_signature(cyc) == target_sig:
-            return cyc
-    return None
+# Edges of a placement checked as shifted bitmaps before the surviving
+# anchors are checked one by one in the direction slots. Each AND costs a
+# pass over the window, and after 64 edges few anchors are left (12 at
+# order 4), so the order-6 polygon's 12,288 edges are not all ANDed.
+_BITMAP_EDGES = 64
+
+
+def _point_images(cycle: Cycle) -> list[Cycle]:
+    """The cycle's images under the 12 lattice point symmetries, one per
+    class of translates, each with its least vertex at the origin."""
+    images: dict[bytes, Cycle] = {}
+    for r in range(6):
+        for sign in (1, -1):
+            dirs = [(r + sign * (code - 1)) % 6 for code in cycle.codes]
+            codes = Cycle.from_vertices(directions_to_vertices(dirs)).codes
+            images.setdefault(codes, Cycle((0, 0), codes))
+    return list(images.values())
+
+
+def _code_bitmap(slot: bytearray, code: int) -> int:
+    """Bit v is set when slot v holds code."""
+    digits = slot.translate(bytes(49 if c == code else 48 for c in range(256)))  # ASCII 1/0
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _anchors(window: Window, image: Cycle) -> int:
+    """Bit a is set when the image, its least vertex put at window index a,
+    lies inside the window."""
+    verts = image.vertices
+    j_lo, j_hi = min(j for _, j in verts), max(j for _, j in verts)
+    rows = window.i_count - max(i for i, _ in verts)
+    width = window.j_count - (j_hi - j_lo)
+    if rows <= 0 or width <= 0:
+        return 0
+    # one row's anchor columns, repeated every j_count bits by the repunit
+    # in base 2**j_count
+    row = ((1 << width) - 1) << -j_lo
+    return row * ((1 << rows * window.j_count) - 1) // ((1 << window.j_count) - 1)
+
+
+def _find_polygon(design: Design, images: list[Cycle]) -> Cycle | None:
+    """The front cycle of the design with the least least-vertex among the
+    translates of the given point images, or None.
+
+    Each image edge from offset o by code c asks for a front stitch there;
+    an edge with c > 3 is asked from its other end by code c - 3, so only
+    codes 1-3 need a bitmap. Starting from the image's _anchors, the first
+    _BITMAP_EDGES edges AND in their code's bitmap shifted right by o,
+    stopping at the first empty mask; every surviving anchor, in increasing
+    order, then has its remaining edges checked in direction_slots. The
+    first anchor that passes is the least vertex of its translate.
+    """
+    win = design.window
+    j_count = win.j_count
+    one, two = direction_slots(design, "front")
+    bitmaps = {code: _code_bitmap(one, code) | _code_bitmap(two, code) for code in (1, 2, 3)}
+    best: tuple[int, Cycle] | None = None
+    for image in images:
+        mask = _anchors(win, image)
+        if not mask:
+            continue
+        offsets = [i * j_count + j for i, j in image.vertices]
+        edges = [(o, code) if code <= 3 else (after, code - 3)
+                 for o, after, code in zip(offsets, offsets[1:] + offsets[:1], image.codes)]
+        for offset, code in edges[:_BITMAP_EDGES]:
+            mask &= bitmaps[code] >> offset
+            if not mask:
+                break
+        rest = edges[_BITMAP_EDGES:]
+        # bit a of the mask is the character len(bits) - 1 - a of bin(mask)
+        bits = bin(mask)
+        pos = bits.rfind("1", 2)
+        while pos >= 2:
+            a = len(bits) - 1 - pos
+            if best is not None and a >= best[0]:
+                break
+            if all(one[a + o] == c or two[a + o] == c for o, c in rest):
+                best = (a, image)
+                break
+            pos = bits.rfind("1", 2, pos)
+    if best is None:
+        return None
+    a, image = best
+    return Cycle((win.i_min + a // j_count, win.j_min + a % j_count), image.codes)
+
+
+def _confirm(hit: Cycle, polygon: KochPolygon, pattern: StitchPattern) -> None:
+    """Re-find the hit by the component walk on its bounding window, and
+    match its shape to the polygon's by motif signature."""
+    verts = hit.vertices
+    box = Window(min(i for i, _ in verts), max(i for i, _ in verts),
+                 min(j for _, j in verts), max(j for _, j in verts))
+    cycles, _ = build_components(generate_design(box, pattern), side="front")
+    if hit not in cycles:
+        raise AssertionError(f"placement search hit at {hit.start} is not a front cycle")
+    if motif_signature(hit) != motif_signature(polygon.cycle):
+        raise AssertionError(f"placement search hit at {hit.start} is not the polygon's shape")
 
 
 def phase_period(order: int) -> int:
@@ -147,8 +244,22 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
     repetition). With phase_search the relative word alignments for families
     B and C are scanned in lexicographic order, family A fixed at phase 0,
     and the first success wins; otherwise only the given phases (default all
-    zero) are tried. Matching is by motif signature, i.e. up to lattice
-    isometry. found=False is a result, not an error.
+    zero) are tried. A match is a front cycle congruent to the polygon,
+    i.e. equal to it up to lattice isometry. found=False is a result, not an
+    error.
+
+    Within one design the placement search returns the congruent front
+    cycle with the least least-vertex, the first that a walk over
+    build_components' cycles, which are listed by least vertex, would meet:
+    - A congruent cycle is a translate of a point image of the polygon, and
+      the translate's least vertex is the image of the image's least vertex.
+    - Conversely, a translate lying inside the window whose every edge is a
+      front stitch is a whole front component, because front vertices have
+      degree at most 2: it is a front cycle of the window.
+    - _find_polygon tests every such placement, of every point image that is
+      not a translate of another, and keeps the least. Every iterate of
+      order >= 1 has the lattice's full point symmetry, so it searches the
+      polygon alone.
 
     The search scans only the 2P candidates (0, b, c) with b in (0, 1) of
     the P^2 phase pairs (P = phase_period(order), which is even), and finds
@@ -184,13 +295,13 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
             f"window {window} cannot hold an order-{order} polygon "
             f"({i_span}x{j_span}) with a {cell} period cell of margin")
 
-    target_sig = motif_signature(polygon.cycle)
-    length = polygon.segment_count
+    images = _point_images(polygon.cycle)
     hit = None
     for cand in phase_candidates(order) if phase_search else [phases]:
-        design = generate_design(window, _pattern_for(order, cand))
-        hit = _design_contains_polygon(design, length, target_sig)
+        pattern = _pattern_for(order, cand)
+        hit = _find_polygon(generate_design(window, pattern), images)
         if hit is not None:
+            _confirm(hit, polygon, pattern)
             phases = cand
             break
     return VerificationResult(found=hit is not None, phases=dict(enumerate(phases)),

@@ -398,7 +398,9 @@ def classify_wallpaper(design: Design) -> tuple[str, list[LatticeIsometry]]:
 def is_self_dual(design: Design) -> tuple[bool, LatticeIsometry | None]:
     """Search for a lattice isometry mapping the front onto the back: the 12
     point operations composed with translations in one period cell, in a
-    fixed canonical order. The witness is re-verified before returning."""
+    fixed canonical order. The witness is the first isometry whose image of
+    the front matches the back on the window overlap; it is returned as
+    found, with no second check."""
     eng = _Engine(design)
     for reflect in (False, True):
         for rotation in range(6):

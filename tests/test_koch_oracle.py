@@ -1,9 +1,14 @@
+import tracemalloc
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isostitch import koch_oracle
-from isostitch import (InvalidOrderError, Window, WindowError, koch_directions,
-                       koch_polygon, motif_signature, replace_runs,
-                       scale_directions, verify_koch)
+from isostitch import (InvalidOrderError, Window, WindowError, build_components,
+                       koch_directions, koch_polygon, motif_signature,
+                       period_cell, replace_runs, scale_directions, verify_koch)
 
 
 def test_order_zero_is_a_triangle():
@@ -87,26 +92,108 @@ def test_verify_never_materializes_segment_sets(monkeypatch):
         assert "front" not in design.__dict__ and "back" not in design.__dict__
 
 
+def _walk_search(order: int, window: Window, phases: tuple[int, int, int]):
+    """Reference search: walk every front cycle of the design and return
+    the first with the polygon's length and motif signature, or None."""
+    polygon = koch_polygon(order)
+    sig = motif_signature(polygon.cycle)
+    design = koch_oracle.generate_design(window, koch_oracle._pattern_for(order, phases))
+    cycles, _ = build_components(design, side="front")
+    return next((c for c in cycles
+                 if len(c) == polygon.segment_count and motif_signature(c) == sig), None)
+
+
+@cache
+def _walk_hits(order: int) -> dict[tuple[int, int], object]:
+    """The reference hit of every phase pair (0, b, c) on _window(order)."""
+    period = koch_oracle.phase_period(order)
+    return {(b, c): _walk_search(order, _window(order), (0, b, c))
+            for b in range(period) for c in range(period)}
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_phase_quotient_agrees_with_the_full_search(order):
     # Every (0, b, c) has a hit exactly when its representative with b <= 1
     # does, and the quotient search returns the full scan's first hit.
-    window = _window(order)
-    polygon = koch_polygon(order)
-    sig, length = motif_signature(polygon.cycle), polygon.segment_count
     period = koch_oracle.phase_period(order)
-    hits = {}
-    for b in range(period):
-        for c in range(period):
-            design = koch_oracle.generate_design(window, koch_oracle._pattern_for(order, (0, b, c)))
-            hits[b, c] = koch_oracle._design_contains_polygon(design, length, sig)
+    hits = _walk_hits(order)
     for (b, c), hit in hits.items():
         assert (hit is None) == (hits[b % 2, (c - b + b % 2) % period] is None)
     first = next((b, c) for (b, c), hit in sorted(hits.items()) if hit is not None)
-    res = verify_koch(order, window)
+    res = verify_koch(order, _window(order))
     assert (res.phases[1], res.phases[2]) == first
     assert res.matched_cycle == hits[first]
     assert len(koch_oracle.phase_candidates(order)) == 2 * period
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_placement_search_agrees_with_the_walk_at_every_phase_pair(order):
+    for (b, c), hit in _walk_hits(order).items():
+        res = verify_koch(order, _window(order), phase_search=False, phases=(0, b, c))
+        assert res.found == (hit is not None)
+        assert res.matched_cycle == hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(-60, 60), st.integers(-60, 60), st.data())
+def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_min, data):
+    # Windows exactly the polygon's extent plus one period cell wide, off
+    # the origin, so some placements touch every edge of the window.
+    polygon = koch_polygon(order)
+    cell = period_cell(koch_oracle._pattern_for(order, (0, 0, 0)))
+    verts = polygon.cycle.vertices
+    i_span = max(i for i, _ in verts) - min(i for i, _ in verts) + 1
+    j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
+    window = Window(i_min, i_min + i_span + cell[0] - 1, j_min, j_min + j_span + cell[1] - 1)
+    period = koch_oracle.phase_period(order)
+    phases = tuple(data.draw(st.integers(0, period - 1)) for _ in range(3))
+    res = verify_koch(order, window, phase_search=False, phases=phases)
+    hit = _walk_search(order, window, phases)
+    assert res.found == (hit is not None)
+    assert res.matched_cycle == hit
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-2, 12), st.integers(-2, 12))
+def test_anchors_are_the_placements_inside_the_window(order, i_min, j_min, i_extra, j_extra):
+    # Windows from a little narrower to a little wider than each point
+    # image of the polygon; the triangle has two, of different extents.
+    for image in koch_oracle._point_images(koch_polygon(order).cycle):
+        verts = image.vertices
+        i_span = max(i for i, _ in verts) - min(i for i, _ in verts) + 1
+        j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
+        window = Window(i_min, i_min + i_span + i_extra - 1, j_min, j_min + j_span + j_extra - 1)
+        inside = set(window.vertices())
+        fits = set.intersection(*({(i - di, j - dj) for i, j in inside} for di, dj in verts))
+        bits = bin(koch_oracle._anchors(window, image))[:1:-1]
+        assert {(window.i_min + a // window.j_count, window.j_min + a % window.j_count)
+                for a, bit in enumerate(bits) if bit == "1"} == fits
+
+
+def test_point_images_keep_one_per_class_of_translates():
+    # Every iterate of order >= 1 has the lattice's full point symmetry; the
+    # bare triangle has two classes, pointing up and down.
+    for order in (1, 2, 3):
+        (image,) = koch_oracle._point_images(koch_polygon(order).cycle)
+        assert image.codes == koch_polygon(order).cycle.codes and image.start == (0, 0)
+    assert len(koch_oracle._point_images(koch_polygon(0).cycle)) == 2
+
+
+@pytest.mark.slow
+def test_verify_order_four_peaks_at_a_few_bytes_per_window_vertex():
+    # The placement search holds two direction-code slots and a few packed
+    # bitmaps over the window; walking every front cycle of each candidate
+    # peaked at about 26 bytes per vertex.
+    window = _window(4)
+    tracemalloc.start()
+    try:
+        res = verify_koch(4, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.found
+    assert peak <= 8 * window.vertex_count()
 
 
 def test_verify_without_search_reports_not_found_at_zero_phases():
