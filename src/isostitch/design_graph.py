@@ -11,13 +11,40 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .grid import DIRECTION_INDEX, DIRECTIONS, Family
 from .stitcher import Design
 
 
 # Direction code c in 1..6 is direction index c - 1; code 0 means no stitch.
-_REVERSE = (0,) + tuple((d + 3) % 6 + 1 for d in range(6))
+# _REVERSE[c] is the code of the opposite direction, and as a bytes.translate
+# table it reverses every step of a code string.
+_REVERSE = bytes.maketrans(b"\1\2\3\4\5\6", b"\4\5\6\1\2\3")
+
+
+def _steps(j_count: int) -> tuple[int, ...]:
+    """Index offset of one step by each direction code (0: none) when
+    vertex (i, j) has index i * j_count + j."""
+    return (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
+
+
+def _canonical(codes: bytes) -> tuple[int, bytes]:
+    """Canonical form of the closed walk that steps by codes from some
+    vertex: the index of its least vertex (vertex k is reached after k
+    steps), and the codes from there toward that vertex's lesser neighbour.
+
+    The walk must visit each vertex once. Its vertices are ranked by running
+    sums of _steps(2n + 1): coordinates stay within n of the first vertex,
+    so i * (2n + 1) + j orders them as (i, j) does.
+    """
+    n = len(codes)
+    keys = list(accumulate(map(_steps(2 * n + 1).__getitem__, codes[:-1]), initial=0))
+    least = keys.index(min(keys))
+    codes = codes[least:] + codes[:least]
+    if keys[least - 1] < keys[(least + 1) % n]:
+        codes = codes[::-1].translate(_REVERSE)
+    return least, codes
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,18 +82,14 @@ class Cycle:
             raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
         if len(set(verts)) != n:
             raise ValueError("a cycle visits each of its vertices once")
-        start = min(range(n), key=lambda idx: verts[idx])
-        sense = -1 if verts[(start - 1) % n] < verts[(start + 1) % n] else 1
         codes = bytearray()
-        a = verts[start]
-        for idx in range(1, n + 1):
-            b = verts[(start + sense * idx) % n]
+        for a, b in zip(verts, verts[1:] + verts[:1]):
             d = DIRECTION_INDEX.get((b[0] - a[0], b[1] - a[1]))
             if d is None:
                 raise ValueError(f"{tuple(a)} to {tuple(b)} is not a unit lattice step")
             codes.append(d + 1)
-            a = b
-        return cls(tuple(verts[start]), bytes(codes))
+        start, canonical = _canonical(bytes(codes))
+        return cls(tuple(verts[start]), canonical)
 
 
 @dataclass(frozen=True)
@@ -76,11 +99,6 @@ class MotifCensus:
 
     def total_cycles(self) -> int:
         return sum(self.counts.values())
-
-
-def _steps(j_count: int) -> tuple[int, ...]:
-    """Window index offset of one step by each direction code (0: none)."""
-    return (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
 
 
 def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
@@ -240,27 +258,49 @@ def _least_rotation(s: str) -> str:
 
 
 # One bytes.translate table per lattice point symmetry, rotation by r
-# composed with reflection or not: direction code d + 1 becomes the ASCII
-# digit of direction (r + d) or (r - d) mod 6. Reversing a traversal turns
-# each direction d into d + 3, which only permutes these 12 tables, so the
+# composed with reflection or not: direction code d + 1 becomes the code of
+# direction (r + d) or (r - d) mod 6. Reversing a traversal turns each
+# direction d into d + 3, which only permutes these 12 tables, so the
 # reversed codes need no table of their own.
-_POINT_IMAGES = tuple(
-    bytes.maketrans(bytes(range(1, 7)), "".join(str((r + sign * d) % 6) for d in range(6)).encode())
+_POINT_CODES = tuple(
+    bytes.maketrans(b"\1\2\3\4\5\6", bytes((r + sign * d) % 6 + 1 for d in range(6)))
     for r in range(6) for sign in (1, -1))
+# Direction code d + 1 becomes the ASCII digit of d, the signature alphabet.
+_DIGITS = bytes.maketrans(b"\1\2\3\4\5\6", b"012345")
 
 
 def motif_signature(cycle: Cycle) -> str:
     """Canonical form of the cycle's edge-direction sequence, invariant under
-    translation, the 12 lattice point symmetries, and traversal direction."""
+    translation, the 12 lattice point symmetries, and traversal direction.
+
+    It is the least of the least rotations of 24 variants, the codes forwards
+    and reversed under each point symmetry. A variant that is a rotation of
+    one already reduced has the same least rotation and is skipped, so a
+    cycle that point symmetries map onto itself costs fewer Booth runs. The
+    variants that trace the cycle counterclockwise are never rotations of
+    the clockwise ones, so a Koch iterate of order >= 1, which every point
+    symmetry maps onto itself, costs two: one per sense.
+    """
     codes = cycle.codes
-    return min(_least_rotation(seq.translate(table).decode())
-               for seq in (codes, codes[::-1]) for table in _POINT_IMAGES)
+    doubled: list[bytes] = []
+    for seq in (codes, codes[::-1]):
+        for table in _POINT_CODES:
+            variant = seq.translate(table)
+            if not any(variant in d for d in doubled):
+                doubled.append(variant + variant)
+    n = len(codes)
+    return min(_least_rotation(d[:n].translate(_DIGITS).decode()) for d in doubled)
 
 
 def motif_census(design: Design, side: str) -> MotifCensus:
     """Count closed components per signature class; open paths are reported
-    separately and never classified (they are window artifacts)."""
+    separately and never classified (they are window artifacts).
+
+    Translates share their codes, so the cycles are counted by codes first
+    and each distinct shape is signed once."""
     cycles, paths = build_components(design, side)
-    counts = Counter(motif_signature(c) for c in cycles)
+    counts: Counter[str] = Counter()
+    for codes, n in Counter(c.codes for c in cycles).items():
+        counts[motif_signature(Cycle((0, 0), codes))] += n
     ordered = dict(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return MotifCensus(ordered, len(paths))

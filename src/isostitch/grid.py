@@ -123,12 +123,15 @@ def is_line_present(line: LineId) -> bool:
 
 
 def vertex_degree_class(v: tuple[int, int]) -> str:
-    n = sum(1 for line in lines_through(v) if is_line_present(line))
-    if n == 0:
-        return EMPTY
-    if n == 2:
-        return VISITED
-    raise AssertionError(f"presence parity {PRESENCE_PARITY} places {v} on {n} present lines")
+    """EMPTY when v lies on no present line, VISITED when it lies on two.
+
+    Under PRESENCE_PARITY (0, 0, 1), A-line j and B-line i are absent when
+    j and i are odd, and C-line i + j when i + j is even. So a vertex with
+    i and j both odd lies on no present line, and every other vertex on
+    exactly two.
+    """
+    i, j = v
+    return EMPTY if i & j & 1 else VISITED
 
 
 def segment_endpoints(seg: SegmentId) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design_graph import Cycle, build_components, direction_slots, motif_signature
+from .design_graph import (_POINT_CODES, Cycle, _canonical, build_components, direction_slots,
+                           motif_signature)
 from .errors import InvalidOrderError, WindowError
 from .grid import DIRECTIONS, Window
 from .stitcher import Design, DirectionSpec, StitchPattern, generate_design
@@ -132,13 +133,12 @@ _BITMAP_EDGES = 64
 
 def _point_images(cycle: Cycle) -> list[Cycle]:
     """The cycle's images under the 12 lattice point symmetries, one per
-    class of translates, each with its least vertex at the origin."""
+    class of translates, each with its least vertex at the origin: the codes
+    mapped by each point symmetry's table, then put in canonical form."""
     images: dict[bytes, Cycle] = {}
-    for r in range(6):
-        for sign in (1, -1):
-            dirs = [(r + sign * (code - 1)) % 6 for code in cycle.codes]
-            codes = Cycle.from_vertices(directions_to_vertices(dirs)).codes
-            images.setdefault(codes, Cycle((0, 0), codes))
+    for table in _POINT_CODES:
+        codes = _canonical(cycle.codes.translate(table))[1]
+        images.setdefault(codes, Cycle((0, 0), codes))
     return list(images.values())
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
                        Window, build_components, dual,
                        generate_design, koch_polygon, motif_census,
                        motif_signature, segment_endpoints, translation_basis)
+from isostitch import design_graph
 from isostitch.design_graph import _least_rotation
 from isostitch.grid import DIRECTION_INDEX, DIRECTIONS
 
@@ -145,6 +147,39 @@ def test_census_count_ordering_is_deterministic():
     assert census.total_cycles() == sum(census.counts.values())
 
 
+@pytest.fixture
+def booth_runs(monkeypatch):
+    """The strings design_graph._least_rotation is called on, from here on."""
+    calls = []
+    least_rotation = design_graph._least_rotation
+
+    def counting(s):
+        calls.append(s)
+        return least_rotation(s)
+
+    monkeypatch.setattr(design_graph, "_least_rotation", counting)
+    return calls
+
+
+def test_census_signs_each_shape_once(booth_runs):
+    # 81 translates of one hexagram: per cycle, 24 variants each would make
+    # 1,944 Booth runs.
+    census = motif_census(_design("0", 39), "front")
+    assert census.total_cycles() == 81
+    assert len(booth_runs) <= 24
+
+
+def test_a_fully_symmetric_cycle_costs_one_booth_run_per_sense(booth_runs):
+    # Every point symmetry maps the snowflake onto itself, so its 12
+    # counterclockwise variants are rotations of one string and its 12
+    # clockwise ones of another; the two senses are never rotations of each
+    # other.
+    polygon = koch_polygon(4).cycle
+    assert not booth_runs
+    motif_signature(polygon)
+    assert len(booth_runs) == 2
+
+
 def _oracle_components(design, side):
     """Reference decomposition from the materialized segment set: an
     adjacency dict, paths seeded at degree-1 vertices, then cycles, both in
@@ -211,6 +246,21 @@ def test_signature_matches_the_string_join_reference(specs, conv, i0, j0, w, h):
         for cycle in build_components(design, side)[0]:
             assert motif_signature(cycle) == _reference_signature(cycle)
             assert Cycle.from_vertices(cycle.vertices) == cycle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 30), st.integers(0, 30))
+def test_census_counts_each_cycle_by_its_signature(specs, conv, i0, j0, w, h):
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    for side in ("front", "back"):
+        cycles, paths = build_components(design, side)
+        per_cycle = Counter(motif_signature(c) for c in cycles)
+        census = motif_census(design, side)
+        assert list(census.counts.items()) == sorted(per_cycle.items(),
+                                                     key=lambda kv: (len(kv[0]), kv[0]))
+        assert census.open_paths == len(paths)
 
 
 @pytest.mark.parametrize("order,phases,window", [

@@ -63,6 +63,15 @@ def test_vertex_classes(v):
     assert vertex_degree_class(v) == expected
 
 
+def test_vertex_class_closed_form_counts_the_present_lines():
+    # Every residue class of (i, j) mod 2, in all four quadrants.
+    for i in range(-4, 4):
+        for j in range(-4, 4):
+            n = sum(is_line_present(line) for line in lines_through((i, j)))
+            assert n in (0, 2)
+            assert vertex_degree_class((i, j)) == (EMPTY if n == 0 else VISITED)
+
+
 def test_quarter_of_vertices_empty_on_even_window():
     win = Window(0, 39, 0, 39)
     empties = sum(1 for v in win.vertices() if vertex_degree_class(v) == EMPTY)

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import koch_oracle
-from isostitch import (InvalidOrderError, Window, WindowError, build_components,
-                       koch_directions, koch_polygon, motif_signature,
-                       period_cell, replace_runs, scale_directions, verify_koch)
+from isostitch import (Cycle, InvalidOrderError, StitchPattern, Window, WindowError,
+                       build_components, generate_design, koch_directions,
+                       koch_polygon, motif_signature, period_cell, replace_runs,
+                       scale_directions, verify_koch)
+from isostitch.grid import DIRECTION_INDEX
+from test_design_graph import _CHIRAL, convention, mixed_spec
 
 
 def test_order_zero_is_a_triangle():
@@ -178,6 +181,41 @@ def test_point_images_keep_one_per_class_of_translates():
         (image,) = koch_oracle._point_images(koch_polygon(order).cycle)
         assert image.codes == koch_polygon(order).cycle.codes and image.start == (0, 0)
     assert len(koch_oracle._point_images(koch_polygon(0).cycle)) == 2
+
+
+def _reference_point_images(cycle: Cycle) -> list[Cycle]:
+    """The point images from vertex lists: each image's directions are
+    accumulated into vertices, the list is rotated to start at its least
+    vertex and read toward that vertex's lesser neighbour, and the steps are
+    looked up as direction codes."""
+    images: dict[bytes, Cycle] = {}
+    for r in range(6):
+        for sign in (1, -1):
+            dirs = [(r + sign * (code - 1)) % 6 for code in cycle.codes]
+            verts = koch_oracle.directions_to_vertices(dirs)
+            n = len(verts)
+            start = min(range(n), key=verts.__getitem__)
+            sense = -1 if verts[start - 1] < verts[(start + 1) % n] else 1
+            walk = [verts[(start + sense * k) % n] for k in range(n + 1)]
+            codes = bytes(DIRECTION_INDEX[(b[0] - a[0], b[1] - a[1])] + 1
+                          for a, b in zip(walk, walk[1:]))
+            images.setdefault(codes, Cycle((0, 0), codes))
+    return list(images.values())
+
+
+@pytest.mark.parametrize("cycle", [koch_polygon(k).cycle for k in range(6)] + [_CHIRAL])
+def test_point_images_match_the_vertex_list_reference(cycle):
+    assert koch_oracle._point_images(cycle) == _reference_point_images(cycle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 24), st.integers(0, 24))
+def test_point_images_of_front_cycles_match_the_vertex_list_reference(specs, conv, i0, j0,
+                                                                       w, h):
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    for cycle in build_components(design, "front")[0]:
+        assert koch_oracle._point_images(cycle) == _reference_point_images(cycle)
 
 
 @pytest.mark.slow

@@ -3,12 +3,13 @@ Koch design.
 
 For each order n given (default 3 4 5) it stitches the order-n word in all
 three directions at phases (0, 0, 1), the phases verify-koch finds, on the
-window 0:4*3^n+8 on both axes (verify-koch's default), and counts the cycles
-of each face whose motif signature is that of koch_polygon(k), k = 1..n.
+window 0:4*3^n+8 on both axes (verify-koch's default), and reads from each
+face's motif census the number of cycles whose motif signature is that of
+koch_polygon(k), k = 1..n; the census signs each distinct shape once.
 It prints one Markdown table row per design and face.
 
-Run from the repository root (standard library only; orders 3-5 take
-12-15 s on a 2-core VM):
+Run from the repository root (standard library only; on a 2-core VM
+orders 3-5 take 1.6 s, and order 6 takes 9.3 s at 222 MB peak RSS):
 
     PYTHONPATH=src python3 tools/koch_iterates.py 3 4 5
 """
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import sys
 
-from isostitch import (DirectionSpec, StitchPattern, Window, build_components,
-                       generate_design, koch_polygon, motif_signature)
+from isostitch import (DirectionSpec, StitchPattern, Window, generate_design,
+                       koch_polygon, motif_census, motif_signature)
 
 PHASES = (0, 0, 1)
 
@@ -27,17 +28,11 @@ def iterate_counts(order: int) -> dict[str, list[int]]:
     side = 4 * 3 ** order + 8
     pattern = StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in PHASES))
     design = generate_design(Window(0, side, 0, side), pattern)
-    targets = {3 * 4 ** k: (k, motif_signature(koch_polygon(k).cycle))
-               for k in range(1, order + 1)}
+    targets = [motif_signature(koch_polygon(k).cycle) for k in range(1, order + 1)]
     counts = {}
     for face in ("front", "back"):
-        found = [0] * order
-        cycles, _ = build_components(design, face)
-        for cycle in cycles:
-            k, sig = targets.get(len(cycle), (0, None))
-            if k and motif_signature(cycle) == sig:
-                found[k - 1] += 1
-        counts[face] = found
+        census = motif_census(design, face).counts
+        counts[face] = [census.get(sig, 0) for sig in targets]
     return counts
 
 
