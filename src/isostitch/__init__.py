@@ -15,9 +15,10 @@ from .grid import (DEFAULT_CONVENTION, DIRECTIONS, EMPTY, PRESENCE_PARITY,
                    VISITED, Family, GridConvention, LineId, SegmentId, Window,
                    is_line_present, lines_through, segment_between,
                    segment_endpoints, vertex_degree_class, vertex_to_cartesian)
-from .koch_oracle import (KochPolygon, VerificationResult, koch_directions,
-                          koch_polygon, phase_candidates, phase_period,
-                          replace_runs, scale_directions, verify_koch)
+from .koch_oracle import (KOCH_PHASES, VerificationResult, koch_directions,
+                          koch_pattern, koch_polygon, koch_window,
+                          phase_candidates, phase_period, replace_runs,
+                          scale_directions, verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import (Design, DirectionSpec, StitchPattern, dual,
                        generate_design)
@@ -37,9 +38,9 @@ __all__ = [
     "GridConvention", "LineId", "SegmentId", "Window", "is_line_present",
     "lines_through", "segment_between", "segment_endpoints",
     "vertex_degree_class", "vertex_to_cartesian",
-    "KochPolygon", "VerificationResult", "koch_directions", "koch_polygon",
-    "phase_candidates", "phase_period", "replace_runs", "scale_directions",
-    "verify_koch",
+    "KOCH_PHASES", "VerificationResult", "koch_directions", "koch_pattern",
+    "koch_polygon", "koch_window", "phase_candidates", "phase_period",
+    "replace_runs", "scale_directions", "verify_koch",
     "RenderOptions", "to_svg",
     "Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
     "LatticeIsometry", "classify_wallpaper", "is_self_dual", "is_symmetry",

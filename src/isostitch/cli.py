@@ -17,17 +17,13 @@ from .errors import CalibrationError, InvalidOrderError, IsostitchError, \
     OverlapTooSmallError, WindowError, WordError
 from .grid import EMPTY, PRESENCE_PARITY, Family, GridConvention, Window, \
     segment_endpoints, vertex_degree_class
-from .koch_oracle import (VerificationResult, _pattern_for, koch_polygon, phase_candidates,
-                          verify_koch)
+from .koch_oracle import (KOCH_PHASES, VerificationResult, koch_pattern, koch_polygon,
+                          koch_window, phase_candidates, verify_koch)
 from .render import RenderOptions, to_svg
 from .stitcher import Design, DirectionSpec, StitchPattern, dual, generate_design
 from .symmetry import LatticeIsometry, classify_wallpaper, is_self_dual, period_cell
 
 USAGE_ERROR, IO_ERROR, INCONCLUSIVE, NOT_FOUND = 2, 3, 4, 5
-
-# Relative word phases under which the snowflake verification succeeds;
-# reused as defaults so rendered Koch charts actually contain the snowflake.
-KOCH_PHASES = (0, 0, 1)
 
 
 # ---------------------------------------------------------------- reports
@@ -114,7 +110,7 @@ def _pattern_from_args(args) -> StitchPattern:
             raise WordError("--koch-order cannot be combined with --word options")
         phases = tuple(KOCH_PHASES[f] if p is None else p
                        for f, p in enumerate((args.phase_a, args.phase_b, args.phase_c)))
-        return _pattern_for(args.koch_order, phases)
+        return koch_pattern(args.koch_order, phases)
     words = [args.word_a, args.word_b, args.word_c]
     if args.word is not None:
         if any(w is not None for w in words):
@@ -133,16 +129,11 @@ def _auto_window(pattern: StitchPattern) -> Window:
     return Window(-h, h, -h, h).validate()
 
 
-def _koch_window(order: int) -> Window:
-    side = 4 * 3 ** order + 8
-    return Window(0, side, 0, side).validate()
-
-
 def _window_from_args(args, pattern: StitchPattern) -> Window:
     if args.window is not None:
         return _parse_window(args.window)
     if args.koch_order is not None:
-        return _koch_window(args.koch_order)
+        return koch_window(args.koch_order)
     return _auto_window(pattern)
 
 
@@ -251,13 +242,13 @@ def cmd_verify_koch(args) -> int:
     if args.order >= 5 and not args.long_running:
         raise InvalidOrderError(
             f"order {args.order} search is long-running; pass --long-running to confirm")
-    window = _parse_window(args.window) if args.window else _koch_window(args.order)
+    window = _parse_window(args.window) if args.window else koch_window(args.order)
     phases = (0, args.phase_b, args.phase_c)
     result = verify_koch(args.order, window, phase_search=args.phase_search,
                          phases=phases)
     result_phases = tuple(result.phases[f] for f in range(3))
     if args.report:
-        _write_json(args.report, _report(_pattern_for(args.order, result_phases), window,
+        _write_json(args.report, _report(koch_pattern(args.order, result_phases), window,
                                          invariants={}, census={}, wallpaper={},
                                          self_dual=None, koch=result))
     phase_text = ",".join(map(str, result_phases))
@@ -286,7 +277,7 @@ def calibrate() -> tuple[GridConvention, list[GridConvention]]:
     the whole accepting list.
     """
     win = Window(0, 39, 0, 39)
-    hexagram_sig = motif_signature(koch_polygon(1).cycle)
+    hexagram_sig = motif_signature(koch_polygon(1))
     accepted = []
     for base_bits in range(8):
         for slope_bits in range(8):

@@ -9,34 +9,31 @@ unrelated constructions producing the same cycle.
 
 verify_koch stitches the order-n word in all three directions and asks
 whether some front cycle is the order-n polygon, up to lattice isometry. It
-walks no candidate's cycles: it places each point image of the polygon at
-every window vertex where it fits, and intersects shifted bitmaps of the
-front stitches per direction until only the placements whose every edge is
-a front stitch are left. A hit is re-found by the component walk on its
-bounding window and matched by motif signature before it is returned.
+walks no candidate's cycles: every iterate of order >= 1 is mapped onto a
+translate of itself by each lattice point symmetry, so it places the polygon
+alone at every window vertex where it fits, and intersects shifted bitmaps
+of the front stitches per direction until only the placements whose every
+edge is a front stitch are left. A hit is re-found by the component walk on
+its bounding window and matched by motif signature before it is returned.
+
+KOCH_PHASES, koch_pattern and koch_window are the Koch design conventions
+the CLI and tools share: the phases at which the search succeeds, the
+order-n word stitched in all three families, and verify-koch's default
+window.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design_graph import (_POINT_CODES, Cycle, _canonical, build_components, direction_slots,
-                           motif_signature)
+from .design_graph import Cycle, build_components, direction_slots, motif_signature
 from .errors import InvalidOrderError, WindowError
 from .grid import DIRECTIONS, Window
 from .stitcher import Design, DirectionSpec, StitchPattern, generate_design
 from .symmetry import period_cell
 
-
-@dataclass(frozen=True)
-class KochPolygon:
-    """Snowflake iterate as a simple lattice cycle. Order 0 is the bare
-    triangle; order 1 the hexagram; order k has 3 * 4**k unit segments."""
-    order: int
-    cycle: Cycle
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.cycle)
+# Relative word phases under which the snowflake verification succeeds;
+# reused as defaults so rendered Koch charts actually contain the snowflake.
+KOCH_PHASES = (0, 0, 1)
 
 
 def _replaced_side(direction: int, depth: int) -> list[int]:
@@ -94,8 +91,9 @@ def directions_to_vertices(dirs: list[int],
     return vs[:-1]
 
 
-def koch_polygon(order: int) -> KochPolygon:
-    """Construct the order-k snowflake anchored at the origin.
+def koch_polygon(order: int) -> Cycle:
+    """Construct the order-k snowflake, traced from the origin: order 0 is
+    the bare triangle, order 1 the hexagram.
 
     Asserts the contract while building: 3 * 4**k unit segments and base
     side displacement exactly (3**k, 0); Cycle.from_vertices raises
@@ -109,7 +107,7 @@ def koch_polygon(order: int) -> KochPolygon:
     side = 3 ** order
     base_end = vs[4 ** order] if order else vs[1]
     assert base_end == (side, 0), "base side must span 3**order"
-    return KochPolygon(order=order, cycle=Cycle.from_vertices(vs))
+    return Cycle.from_vertices(vs)
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,23 @@ class VerificationResult:
     matched_cycle: Cycle | None
 
 
-def _pattern_for(order: int, phases: tuple[int, int, int]) -> StitchPattern:
+def koch_pattern(order: int, phases: tuple[int, int, int]) -> StitchPattern:
     """The order-n word stitched in families A, B and C at the given phases."""
     return StitchPattern(specs=tuple(DirectionSpec.koch(order, phase=p) for p in phases))
+
+
+def koch_window(order: int) -> Window:
+    """verify-koch's default window, 0:4*3^n+8 on both axes: the order-n
+    polygon and one period cell of margin fit in it."""
+    side = 4 * 3 ** order + 8
+    return Window(0, side, 0, side).validate()
+
+
+def _box(cycle: Cycle) -> Window:
+    """The least window holding the cycle."""
+    verts = cycle.vertices
+    return Window(min(i for i, _ in verts), max(i for i, _ in verts),
+                  min(j for _, j in verts), max(j for _, j in verts))
 
 
 # Edges of a placement checked as shifted bitmaps before the surviving
@@ -129,17 +141,6 @@ def _pattern_for(order: int, phases: tuple[int, int, int]) -> StitchPattern:
 # pass over the window, and after 64 edges few anchors are left (12 at
 # order 4), so the order-6 polygon's 12,288 edges are not all ANDed.
 _BITMAP_EDGES = 64
-
-
-def _point_images(cycle: Cycle) -> list[Cycle]:
-    """The cycle's images under the 12 lattice point symmetries, one per
-    class of translates, each with its least vertex at the origin: the codes
-    mapped by each point symmetry's table, then put in canonical form."""
-    images: dict[bytes, Cycle] = {}
-    for table in _POINT_CODES:
-        codes = _canonical(cycle.codes.translate(table))[1]
-        images.setdefault(codes, Cycle((0, 0), codes))
-    return list(images.values())
 
 
 def _code_bitmap(slot: bytearray, code: int) -> int:
@@ -151,22 +152,21 @@ def _code_bitmap(slot: bytearray, code: int) -> int:
 
 def _anchors(window: Window, image: Cycle) -> int:
     """Bit a is set when the image, its least vertex put at window index a,
-    lies inside the window."""
-    verts = image.vertices
-    j_lo, j_hi = min(j for _, j in verts), max(j for _, j in verts)
-    rows = window.i_count - max(i for i, _ in verts)
-    width = window.j_count - (j_hi - j_lo)
+    lies inside the window. The image's least vertex is the origin."""
+    box = _box(image)
+    rows = window.i_count - box.i_max
+    width = window.j_count - (box.j_max - box.j_min)
     if rows <= 0 or width <= 0:
         return 0
     # one row's anchor columns, repeated every j_count bits by the repunit
     # in base 2**j_count
-    row = ((1 << width) - 1) << -j_lo
+    row = ((1 << width) - 1) << -box.j_min
     return row * ((1 << rows * window.j_count) - 1) // ((1 << window.j_count) - 1)
 
 
-def _find_polygon(design: Design, images: list[Cycle]) -> Cycle | None:
+def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
     """The front cycle of the design with the least least-vertex among the
-    translates of the given point images, or None.
+    translates of the image, or None.
 
     Each image edge from offset o by code c asks for a front stitch there;
     an edge with c > 3 is asked from its other end by code c - 3, so only
@@ -180,46 +180,33 @@ def _find_polygon(design: Design, images: list[Cycle]) -> Cycle | None:
     j_count = win.j_count
     one, two = direction_slots(design, "front")
     bitmaps = {code: _code_bitmap(one, code) | _code_bitmap(two, code) for code in (1, 2, 3)}
-    best: tuple[int, Cycle] | None = None
-    for image in images:
-        mask = _anchors(win, image)
+    mask = _anchors(win, image)
+    offsets = [i * j_count + j for i, j in image.vertices]
+    edges = [(o, code) if code <= 3 else (after, code - 3)
+             for o, after, code in zip(offsets, offsets[1:] + offsets[:1], image.codes)]
+    for offset, code in edges[:_BITMAP_EDGES]:
+        mask &= bitmaps[code] >> offset
         if not mask:
-            continue
-        offsets = [i * j_count + j for i, j in image.vertices]
-        edges = [(o, code) if code <= 3 else (after, code - 3)
-                 for o, after, code in zip(offsets, offsets[1:] + offsets[:1], image.codes)]
-        for offset, code in edges[:_BITMAP_EDGES]:
-            mask &= bitmaps[code] >> offset
-            if not mask:
-                break
-        rest = edges[_BITMAP_EDGES:]
-        # bit a of the mask is the character len(bits) - 1 - a of bin(mask)
-        bits = bin(mask)
-        pos = bits.rfind("1", 2)
-        while pos >= 2:
-            a = len(bits) - 1 - pos
-            if best is not None and a >= best[0]:
-                break
-            if all(one[a + o] == c or two[a + o] == c for o, c in rest):
-                best = (a, image)
-                break
-            pos = bits.rfind("1", 2, pos)
-    if best is None:
-        return None
-    a, image = best
-    return Cycle((win.i_min + a // j_count, win.j_min + a % j_count), image.codes)
+            return None
+    rest = edges[_BITMAP_EDGES:]
+    # bit a of the mask is the character len(bits) - 1 - a of bin(mask)
+    bits = bin(mask)
+    pos = bits.rfind("1", 2)
+    while pos >= 2:
+        a = len(bits) - 1 - pos
+        if all(one[a + o] == c or two[a + o] == c for o, c in rest):
+            return Cycle((win.i_min + a // j_count, win.j_min + a % j_count), image.codes)
+        pos = bits.rfind("1", 2, pos)
+    return None
 
 
-def _confirm(hit: Cycle, polygon: KochPolygon, pattern: StitchPattern) -> None:
+def _confirm(hit: Cycle, polygon: Cycle, pattern: StitchPattern) -> None:
     """Re-find the hit by the component walk on its bounding window, and
     match its shape to the polygon's by motif signature."""
-    verts = hit.vertices
-    box = Window(min(i for i, _ in verts), max(i for i, _ in verts),
-                 min(j for _, j in verts), max(j for _, j in verts))
-    cycles, _ = build_components(generate_design(box, pattern), side="front")
+    cycles, _ = build_components(generate_design(_box(hit), pattern), side="front")
     if hit not in cycles:
         raise AssertionError(f"placement search hit at {hit.start} is not a front cycle")
-    if motif_signature(hit) != motif_signature(polygon.cycle):
+    if motif_signature(hit) != motif_signature(polygon):
         raise AssertionError(f"placement search hit at {hit.start} is not the polygon's shape")
 
 
@@ -251,15 +238,17 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
     Within one design the placement search returns the congruent front
     cycle with the least least-vertex, the first that a walk over
     build_components' cycles, which are listed by least vertex, would meet:
-    - A congruent cycle is a translate of a point image of the polygon, and
-      the translate's least vertex is the image of the image's least vertex.
+    - A congruent cycle is the image of the polygon under some lattice
+      isometry, a point symmetry followed by a translation. Every iterate
+      of order >= 1 has the lattice's full six-fold dihedral symmetry, so
+      each of the 12 point symmetries maps it onto a translate of itself:
+      a congruent cycle is a translate of the polygon, and its least vertex
+      is the translate of the polygon's least vertex.
     - Conversely, a translate lying inside the window whose every edge is a
       front stitch is a whole front component, because front vertices have
       degree at most 2: it is a front cycle of the window.
-    - _find_polygon tests every such placement, of every point image that is
-      not a translate of another, and keeps the least. Every iterate of
-      order >= 1 has the lattice's full point symmetry, so it searches the
-      polygon alone.
+    - _find_polygon tests the placements of the polygon inside the window
+      in increasing order of least vertex and returns the first that passes.
 
     The search scans only the 2P candidates (0, b, c) with b in (0, 1) of
     the P^2 phase pairs (P = phase_period(order), which is even), and finds
@@ -286,20 +275,18 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"verification order must be an integer >= 1, got {order!r}")
     polygon = koch_polygon(order)
-    verts = polygon.cycle.vertices
-    i_span = max(v[0] for v in verts) - min(v[0] for v in verts) + 1
-    j_span = max(v[1] for v in verts) - min(v[1] for v in verts) + 1
-    cell = period_cell(_pattern_for(order, (0, 0, 0)))
-    if window.i_count < i_span + cell[0] or window.j_count < j_span + cell[1]:
+    box = _box(polygon)
+    cell = period_cell(koch_pattern(order, (0, 0, 0)))
+    if window.i_count < box.i_count + cell[0] or window.j_count < box.j_count + cell[1]:
         raise WindowError(
             f"window {window} cannot hold an order-{order} polygon "
-            f"({i_span}x{j_span}) with a {cell} period cell of margin")
+            f"({box.i_count}x{box.j_count}) with a {cell} period cell of margin")
 
-    images = _point_images(polygon.cycle)
+    image = Cycle((0, 0), polygon.codes)
     hit = None
     for cand in phase_candidates(order) if phase_search else [phases]:
-        pattern = _pattern_for(order, cand)
-        hit = _find_polygon(generate_design(window, pattern), images)
+        pattern = koch_pattern(order, cand)
+        hit = _find_polygon(generate_design(window, pattern), image)
         if hit is not None:
             _confirm(hit, polygon, pattern)
             phases = cand

@@ -127,9 +127,6 @@ class Design:
     def back(self) -> frozenset[SegmentId]:
         return self._segments("back")
 
-    def side(self, which: str) -> frozenset[SegmentId]:
-        return self.front if side_parity(which) else self.back
-
 
 def _line_ranges(window: Window, family: int, parity: int):
     """Yield (k, s_lo, s_hi) for present lines: segment positions s in

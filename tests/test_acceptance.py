@@ -75,7 +75,7 @@ def test_criterion_2_dilute_invariants_on_random_patterns():
         design = generate_design(win, pattern)
         for side in ("front", "back"):
             deg: dict = {}
-            for seg in design.side(side):
+            for seg in getattr(design, side):
                 for v in segment_endpoints(seg):
                     deg[v] = deg.get(v, 0) + 1
             for v in win.vertices():
@@ -102,7 +102,7 @@ def test_criterion_3_hexagram_reproduction():
                              StitchPattern.uniform(DirectionSpec.periodic("0")))
     front = motif_census(design, "front")
     back = motif_census(design, "back")
-    hexagram = motif_signature(koch_polygon(1).cycle)
+    hexagram = motif_signature(koch_polygon(1))
     front_ok = set(front.counts) == {hexagram}
     back_lengths = {len(sig) for sig in back.counts}
     back_ok = back_lengths == {3, 6}
@@ -176,8 +176,8 @@ def test_criterion_6_koch_verification_order_four():
 
 
 def test_criterion_7_lower_order_iterates_in_census():
-    sig1 = motif_signature(koch_polygon(1).cycle)
-    sig2 = motif_signature(koch_polygon(2).cycle)
+    sig1 = motif_signature(koch_polygon(1))
+    sig2 = motif_signature(koch_polygon(2))
     d3 = _koch_design(3, Window(0, 108, 0, 108))
     census3 = motif_census(d3, "front")
     n1_in_3 = census3.counts.get(sig1, 0)
@@ -197,8 +197,8 @@ def test_criterion_8_oracle_self_consistency():
     counts_ok = simple_ok = True
     for k in range(6):
         p = koch_polygon(k)
-        counts_ok &= p.segment_count == 3 * 4 ** k
-        simple_ok &= len(set(p.cycle.vertices)) == p.segment_count
+        counts_ok &= len(p) == 3 * 4 ** k
+        simple_ok &= len(set(p.vertices)) == len(p)
     replace_ok = all(replace_runs(scale_directions(koch_directions(k)))
                      == koch_directions(k + 1) for k in range(5))
     elapsed = time.perf_counter() - t0

@@ -1,12 +1,13 @@
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
-                       Window, build_components, dual,
+                       Window, build_components, complement, dual,
                        generate_design, koch_polygon, motif_census,
                        motif_signature, segment_endpoints, translation_basis)
 from isostitch import design_graph
@@ -51,7 +52,7 @@ def test_triangle_word_census():
 
 def test_every_front_cycle_of_the_hexagram_design_is_a_hexagram():
     d = _design("0", 39)
-    hexagram = motif_signature(koch_polygon(1).cycle)
+    hexagram = motif_signature(koch_polygon(1))
     cycles, paths = build_components(d, "front")
     assert len(cycles) == 81
     assert all(motif_signature(c) == hexagram for c in cycles)
@@ -67,7 +68,7 @@ def test_cycle_canonical_form_is_traversal_independent():
 
 
 def test_cycle_directions_are_unit_steps_closing_up():
-    cyc = koch_polygon(2).cycle
+    cyc = koch_polygon(2)
     assert len(cyc.codes) == len(cyc.vertices) == 48
     assert all(1 <= code <= 6 for code in cyc.codes)
     steps = [DIRECTIONS[code - 1] for code in cyc.codes]
@@ -118,7 +119,7 @@ _CHIRAL = Cycle.from_vertices([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)])
 @settings(deadline=None)
 @given(st.integers(0, 5), st.booleans(),
        st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
-       st.one_of(st.integers(0, 4).map(lambda order: koch_polygon(order).cycle),
+       st.one_of(st.integers(0, 4).map(koch_polygon),
                  st.just(_CHIRAL)))
 def test_signature_is_isometry_invariant(rotation, reflect, t, base):
     moved = Cycle.from_vertices(_transform(list(base.vertices), rotation, reflect, t))
@@ -127,7 +128,7 @@ def test_signature_is_isometry_invariant(rotation, reflect, t, base):
 
 
 def test_different_motifs_have_different_signatures():
-    assert motif_signature(koch_polygon(1).cycle) != motif_signature(koch_polygon(2).cycle)
+    assert motif_signature(koch_polygon(1)) != motif_signature(koch_polygon(2))
     triangle = Cycle.from_vertices([(0, 0), (1, 0), (0, 1)])
     hexagon = Cycle.from_vertices([(0, 0), (1, 0), (1, 1), (0, 2), (-1, 2), (-1, 1)])
     assert motif_signature(triangle) != motif_signature(hexagon)
@@ -174,7 +175,7 @@ def test_a_fully_symmetric_cycle_costs_one_booth_run_per_sense(booth_runs):
     # counterclockwise variants are rotations of one string and its 12
     # clockwise ones of another; the two senses are never rotations of each
     # other.
-    polygon = koch_polygon(4).cycle
+    polygon = koch_polygon(4)
     assert not booth_runs
     motif_signature(polygon)
     assert len(booth_runs) == 2
@@ -185,7 +186,7 @@ def _oracle_components(design, side):
     adjacency dict, paths seeded at degree-1 vertices, then cycles, both in
     sorted vertex order."""
     adj: dict = {}
-    for seg in design.side(side):
+    for seg in getattr(design, side):
         u, v = segment_endpoints(seg)
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
@@ -287,6 +288,24 @@ def test_census_is_unchanged_by_a_period_translation_of_the_window(specs, conv, 
     moved = generate_design(Window(i0 + ti, i0 + ti + w, j0 + tj, j0 + tj + h), pattern)
     for side in ("front", "back"):
         assert motif_census(moved, side) == motif_census(design, side)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 16), st.integers(0, 16))
+def test_complementing_every_word_stitches_the_dual(specs, i0, j0, w, h):
+    # Flipping every offset bit flips every row parity, under each of the 64
+    # conventions, so each side's stitches become the other side's.
+    window = Window(i0, i0 + w, j0, j0 + h)
+    complemented = tuple(DirectionSpec.periodic(complement(s.word), phase=s.phase)
+                         for s in specs)
+    for base, slope in product(product((0, 1), repeat=3), repeat=2):
+        conv = GridConvention(phase_base=base, phase_slope=slope)
+        design = generate_design(window, StitchPattern(specs, conv))
+        other = generate_design(window, StitchPattern(complemented, conv))
+        assert other.lines == dual(design).lines
+        assert motif_census(other, "front") == motif_census(design, "back")
+        assert motif_census(other, "back") == motif_census(design, "front")
 
 
 def test_build_components_working_memory_is_a_few_bytes_per_vertex():

@@ -1,5 +1,7 @@
+import runpy
 import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,32 +10,33 @@ from hypothesis import strategies as st
 from isostitch import koch_oracle
 from isostitch import (Cycle, InvalidOrderError, StitchPattern, Window, WindowError,
                        build_components, generate_design, koch_directions,
-                       koch_polygon, motif_signature, period_cell, replace_runs,
-                       scale_directions, verify_koch)
+                       koch_pattern, koch_polygon, motif_signature, period_cell,
+                       replace_runs, scale_directions, segment_endpoints,
+                       verify_koch)
 from isostitch.grid import DIRECTION_INDEX
 from test_design_graph import _CHIRAL, convention, mixed_spec
 
 
 def test_order_zero_is_a_triangle():
     p = koch_polygon(0)
-    assert p.segment_count == 3
-    assert set(p.cycle.vertices) == {(0, 0), (1, 0), (0, 1)}
+    assert len(p) == 3
+    assert set(p.vertices) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_order_one_is_the_twelve_segment_hexagram():
     p = koch_polygon(1)
-    assert p.segment_count == 12
+    assert len(p) == 12
 
 
 def test_segment_counts_and_simplicity_up_to_order_five():
     for k in range(6):
         p = koch_polygon(k)
-        assert p.segment_count == 3 * 4 ** k
-        assert len(set(p.cycle.vertices)) == p.segment_count
+        assert len(p) == 3 * 4 ** k
+        assert len(set(p.vertices)) == len(p)
 
 
 def test_order_three_has_192_segments():
-    assert koch_polygon(3).segment_count == 192
+    assert len(koch_polygon(3)) == 192
 
 
 def test_negative_order_rejected():
@@ -71,7 +74,7 @@ def test_verify_order_two_found_with_searched_phases():
     assert res.found
     assert res.phases == {0: 0, 1: 0, 2: 1}
     assert len(res.matched_cycle.vertices) == 48
-    assert motif_signature(res.matched_cycle) == motif_signature(koch_polygon(2).cycle)
+    assert motif_signature(res.matched_cycle) == motif_signature(koch_polygon(2))
 
 
 def test_verify_order_three_found():
@@ -99,11 +102,11 @@ def _walk_search(order: int, window: Window, phases: tuple[int, int, int]):
     """Reference search: walk every front cycle of the design and return
     the first with the polygon's length and motif signature, or None."""
     polygon = koch_polygon(order)
-    sig = motif_signature(polygon.cycle)
-    design = koch_oracle.generate_design(window, koch_oracle._pattern_for(order, phases))
+    sig = motif_signature(polygon)
+    design = koch_oracle.generate_design(window, koch_pattern(order, phases))
     cycles, _ = build_components(design, side="front")
     return next((c for c in cycles
-                 if len(c) == polygon.segment_count and motif_signature(c) == sig), None)
+                 if len(c) == len(polygon) and motif_signature(c) == sig), None)
 
 
 @cache
@@ -129,6 +132,28 @@ def test_phase_quotient_agrees_with_the_full_search(order):
     assert len(koch_oracle.phase_candidates(order)) == 2 * period
 
 
+def _moved_front(design, di: int) -> set:
+    """The design's front stitches as endpoint pairs, moved by (di, 0)."""
+    return {tuple((i + di, j) for i, j in segment_endpoints(seg)) for seg in design.front}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_moving_design_0bc_by_4t_gives_design_0_b_minus_2t_c_minus_2t(order, data):
+    # The lemma the 2P-candidate search rests on, phases taken mod P: the
+    # front of design (0, b, c) on a window, moved by (4t, 0), is the front
+    # of design (0, b - 2t, c - 2t) on the moved window.
+    period = koch_oracle.phase_period(order)
+    b, c = (data.draw(st.integers(0, period - 1)) for _ in range(2))
+    t = data.draw(st.integers(-period, period))
+    i0, j0 = (data.draw(st.integers(-40, 40)) for _ in range(2))
+    w, h = (data.draw(st.integers(0, 16)) for _ in range(2))
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), koch_pattern(order, (0, b, c)))
+    moved = generate_design(Window(i0 + 4 * t, i0 + w + 4 * t, j0, j0 + h),
+                            koch_pattern(order, (0, (b - 2 * t) % period, (c - 2 * t) % period)))
+    assert _moved_front(design, 4 * t) == _moved_front(moved, 0)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_placement_search_agrees_with_the_walk_at_every_phase_pair(order):
     for (b, c), hit in _walk_hits(order).items():
@@ -143,8 +168,8 @@ def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_
     # Windows exactly the polygon's extent plus one period cell wide, off
     # the origin, so some placements touch every edge of the window.
     polygon = koch_polygon(order)
-    cell = period_cell(koch_oracle._pattern_for(order, (0, 0, 0)))
-    verts = polygon.cycle.vertices
+    cell = period_cell(koch_pattern(order, (0, 0, 0)))
+    verts = polygon.vertices
     i_span = max(i for i, _ in verts) - min(i for i, _ in verts) + 1
     j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
     window = Window(i_min, i_min + i_span + cell[0] - 1, j_min, j_min + j_span + cell[1] - 1)
@@ -162,7 +187,7 @@ def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_
 def test_anchors_are_the_placements_inside_the_window(order, i_min, j_min, i_extra, j_extra):
     # Windows from a little narrower to a little wider than each point
     # image of the polygon; the triangle has two, of different extents.
-    for image in koch_oracle._point_images(koch_polygon(order).cycle):
+    for image in _reference_point_images(koch_polygon(order)):
         verts = image.vertices
         i_span = max(i for i, _ in verts) - min(i for i, _ in verts) + 1
         j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
@@ -174,38 +199,53 @@ def test_anchors_are_the_placements_inside_the_window(order, i_min, j_min, i_ext
                 for a, bit in enumerate(bits) if bit == "1"} == fits
 
 
-def test_point_images_keep_one_per_class_of_translates():
-    # Every iterate of order >= 1 has the lattice's full point symmetry; the
-    # bare triangle has two classes, pointing up and down.
-    for order in (1, 2, 3):
-        (image,) = koch_oracle._point_images(koch_polygon(order).cycle)
-        assert image.codes == koch_polygon(order).cycle.codes and image.start == (0, 0)
-    assert len(koch_oracle._point_images(koch_polygon(0).cycle)) == 2
+def _point_image_walks(cycle: Cycle) -> list[list[tuple[int, int]]]:
+    """The vertex lists of the cycle's images under the 12 lattice point
+    symmetries, each traced from the origin."""
+    return [koch_oracle.directions_to_vertices([(r + sign * (code - 1)) % 6
+                                                for code in cycle.codes])
+            for r in range(6) for sign in (1, -1)]
+
+
+def _reference_canonical(verts: list[tuple[int, int]]) -> Cycle:
+    """The cycle through verts in canonical form, from the vertex list: it is
+    rotated to start at its least vertex and read toward that vertex's lesser
+    neighbour, and the steps are looked up as direction codes."""
+    n = len(verts)
+    start = min(range(n), key=verts.__getitem__)
+    sense = -1 if verts[start - 1] < verts[(start + 1) % n] else 1
+    walk = [verts[(start + sense * k) % n] for k in range(n + 1)]
+    return Cycle(walk[0], bytes(DIRECTION_INDEX[(b[0] - a[0], b[1] - a[1])] + 1
+                                for a, b in zip(walk, walk[1:])))
 
 
 def _reference_point_images(cycle: Cycle) -> list[Cycle]:
-    """The point images from vertex lists: each image's directions are
-    accumulated into vertices, the list is rotated to start at its least
-    vertex and read toward that vertex's lesser neighbour, and the steps are
-    looked up as direction codes."""
+    """The point images from vertex lists, one per class of translates, each
+    with its least vertex at the origin."""
     images: dict[bytes, Cycle] = {}
-    for r in range(6):
-        for sign in (1, -1):
-            dirs = [(r + sign * (code - 1)) % 6 for code in cycle.codes]
-            verts = koch_oracle.directions_to_vertices(dirs)
-            n = len(verts)
-            start = min(range(n), key=verts.__getitem__)
-            sense = -1 if verts[start - 1] < verts[(start + 1) % n] else 1
-            walk = [verts[(start + sense * k) % n] for k in range(n + 1)]
-            codes = bytes(DIRECTION_INDEX[(b[0] - a[0], b[1] - a[1])] + 1
-                          for a, b in zip(walk, walk[1:]))
-            images.setdefault(codes, Cycle((0, 0), codes))
+    for verts in _point_image_walks(cycle):
+        codes = _reference_canonical(verts).codes
+        images.setdefault(codes, Cycle((0, 0), codes))
     return list(images.values())
 
 
-@pytest.mark.parametrize("cycle", [koch_polygon(k).cycle for k in range(6)] + [_CHIRAL])
+def test_every_iterate_of_order_one_up_is_its_only_point_image():
+    # verify_koch places the polygon alone: every iterate of order >= 1 has
+    # the lattice's full six-fold dihedral symmetry, so each of its 12 point
+    # images is a translate of it. The bare triangle has two classes,
+    # pointing up and down.
+    for order in range(1, 7):
+        polygon = koch_polygon(order)
+        assert _reference_point_images(polygon) == [Cycle((0, 0), polygon.codes)]
+    assert len(_reference_point_images(koch_polygon(0))) == 2
+
+
+@pytest.mark.parametrize("cycle", [koch_polygon(k) for k in range(6)] + [_CHIRAL])
 def test_point_images_match_the_vertex_list_reference(cycle):
-    assert koch_oracle._point_images(cycle) == _reference_point_images(cycle)
+    # Cycle.from_vertices puts each image in canonical form by running sums
+    # of index offsets, the reference by comparing vertex tuples.
+    for verts in _point_image_walks(cycle):
+        assert Cycle.from_vertices(verts) == _reference_canonical(verts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,7 +255,18 @@ def test_point_images_of_front_cycles_match_the_vertex_list_reference(specs, con
                                                                        w, h):
     design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
     for cycle in build_components(design, "front")[0]:
-        assert koch_oracle._point_images(cycle) == _reference_point_images(cycle)
+        for verts in _point_image_walks(cycle):
+            assert Cycle.from_vertices(verts) == _reference_canonical(verts)
+
+
+def test_koch_iterates_tool_reproduces_the_readme_table():
+    # The order-3 and order-4 rows of the README's table of snowflake
+    # iterates, which tools/koch_iterates.py prints.
+    tool = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools"
+                              / "koch_iterates.py"))
+    assert tool["iterate_counts"](3) == {"front": [121, 0, 4], "back": [361, 0, 0]}
+    assert tool["iterate_counts"](4) == {"front": [1008, 108, 0, 4],
+                                         "back": [3025, 0, 0, 0]}
 
 
 @pytest.mark.slow

@@ -84,7 +84,7 @@ def test_interior_visited_vertices_have_degree_two_on_both_sides(pattern, window
     design = generate_design(window, pattern)
     for side in ("front", "back"):
         deg: dict = {}
-        for seg in design.side(side):
+        for seg in getattr(design, side):
             for v in segment_endpoints(seg):
                 deg[v] = deg.get(v, 0) + 1
         for v in design.window.vertices():
