@@ -1,5 +1,6 @@
 """One side of a design as a graph on lattice vertices: split it into closed
-cycles and boundary-cut open paths, and count cycles up to lattice isometry.
+cycles and open paths (mostly pieces of infinite strands), and count cycles
+up to lattice isometry.
 
 Cycle shape is compared through a canonical form of the edge-direction
 sequence (alphabet 0..5, counterclockwise from +x): the lexicographically
@@ -149,8 +150,8 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     """Decompose one side into cycles and open paths.
 
     Stitch graphs have maximum degree 2, so every component is a simple path
-    or a simple cycle; open paths can only occur where the window boundary
-    cut a loop.
+    or a simple cycle. An open path is a component the window boundary cut:
+    mostly a piece of an infinite strand of the design, sometimes a loop.
 
     Works from the design's line rows without building segment sets, on the
     per-vertex direction codes of direction_slots. A walk steps idx +=
@@ -294,7 +295,7 @@ def motif_signature(cycle: Cycle) -> str:
 
 def motif_census(design: Design, side: str) -> MotifCensus:
     """Count closed components per signature class; open paths are reported
-    separately and never classified (they are window artifacts).
+    separately and never classified (window-cut pieces, mostly of strands).
 
     Translates share their codes, so the cycles are counted by codes first
     and each distinct shape is signed once."""

@@ -150,38 +150,30 @@ def _code_bitmap(slot: bytearray, code: int) -> int:
     return int(digits, 2)
 
 
-def _anchors(window: Window, image: Cycle) -> int:
-    """Bit a is set when the image, its least vertex put at window index a,
-    lies inside the window. The image's least vertex is the origin."""
-    box = _box(image)
-    rows = window.i_count - box.i_max
-    width = window.j_count - (box.j_max - box.j_min)
-    if rows <= 0 or width <= 0:
-        return 0
-    # one row's anchor columns, repeated every j_count bits by the repunit
-    # in base 2**j_count
-    row = ((1 << width) - 1) << -box.j_min
-    return row * ((1 << rows * window.j_count) - 1) // ((1 << window.j_count) - 1)
-
-
 def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
     """The front cycle of the design with the least least-vertex among the
     translates of the image, or None.
 
     Each image edge from offset o by code c asks for a front stitch there;
     an edge with c > 3 is asked from its other end by code c - 3, so only
-    codes 1-3 need a bitmap. Starting from the image's _anchors, the first
-    _BITMAP_EDGES edges AND in their code's bitmap shifted right by o,
-    stopping at the first empty mask; every surviving anchor, in increasing
-    order, then has its remaining edges checked in direction_slots. The
-    first anchor that passes is the least vertex of its translate.
+    codes 1-3 need a bitmap. The anchors start as every index a that keeps
+    a + o inside the slots for each offset o. The first _BITMAP_EDGES edges
+    AND in their code's bitmap shifted right by o, stopping at the first
+    empty mask; every surviving anchor, in increasing order, then has its
+    remaining edges checked in direction_slots. The first anchor that passes
+    is the least vertex of its translate.
+
+    A placement that wraps across a row edge of the window never passes:
+    an edge found in direction_slots is an in-window stitch whose far end
+    has the next polygon vertex's index, so from the anchor on every vertex
+    of a passing placement is the in-window translate of the image's.
     """
     win = design.window
     j_count = win.j_count
     one, two = direction_slots(design, "front")
     bitmaps = {code: _code_bitmap(one, code) | _code_bitmap(two, code) for code in (1, 2, 3)}
-    mask = _anchors(win, image)
     offsets = [i * j_count + j for i, j in image.vertices]
+    mask = (1 << max(len(one) - max(offsets), 0)) - 1
     edges = [(o, code) if code <= 3 else (after, code - 3)
              for o, after, code in zip(offsets, offsets[1:] + offsets[:1], image.codes)]
     for offset, code in edges[:_BITMAP_EDGES]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import gcd
 
@@ -82,17 +83,15 @@ class LatticeIsometry:
 
 def _row_shift_period(pattern: StitchPattern, f: int) -> int:
     """Smallest ordinal shift d leaving family f's front/back row parity
-    unchanged: bit(m+d) must equal bit(m) xor (slope*d mod 2) for all m."""
+    unchanged: the least period of the row parities bit(m) xor (slope*m mod 2),
+    which repeat after 2p ordinals for a word of length p."""
     seq = pattern.specs[f].bit_sequence()
     slope = pattern.convention.phase_slope[f]
-    p = len(seq)
-    for d in range(1, 2 * p + 1):
-        eps = (slope * d) % 2
-        if all(seq.cyclic(m + d) == seq.cyclic(m) ^ eps for m in range(p)):
-            return d
-    raise AssertionError("unreachable: 2p always satisfies the condition")
+    t = bytes(seq.cyclic(m) ^ (slope * m) % 2 for m in range(2 * len(seq)))
+    return (t + t).find(t, 1)
 
 
+@cache
 def translation_basis(pattern: StitchPattern) -> tuple[tuple[int, int], tuple[int, int]]:
     """Generators of the design's full translation lattice.
 
@@ -100,6 +99,7 @@ def translation_basis(pattern: StitchPattern) -> tuple[tuple[int, int], tuple[in
     a (family B) and a+b (family C); odd translations move present lines onto
     absent ones and never preserve the design. Solving the three row-parity
     congruences gives a basis in Hermite-like form (2*a1, 0), (2*e, 2*b2).
+    Computed once per pattern, so a design and its dual share the entry.
     """
     pa = _row_shift_period(pattern, Family.A)
     pb = _row_shift_period(pattern, Family.B)

@@ -133,6 +133,8 @@ def test_analyze_report_round_trips(tmp_path):
     ("analyze_pmg.json", ("--word-a", "0", "--word-b", "0", "--word-c", "0011",
                           "--phase-c", "1"), 0),
     ("analyze_small_window.json", ("--word", "0", "--window", "0:6:0:6"), 4),
+    ("analyze_koch2.json", ("--koch-order", "2"), 0),
+    pytest.param("analyze_koch3.json", ("--koch-order", "3"), 0, marks=pytest.mark.slow),
 ])
 def test_analyze_report_matches_golden(tmp_path, golden, args, code):
     report = tmp_path / "r.json"

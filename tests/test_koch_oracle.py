@@ -166,7 +166,10 @@ def test_placement_search_agrees_with_the_walk_at_every_phase_pair(order):
 @given(st.integers(1, 3), st.integers(-60, 60), st.integers(-60, 60), st.data())
 def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_min, data):
     # Windows exactly the polygon's extent plus one period cell wide, off
-    # the origin, so some placements touch every edge of the window.
+    # the origin, so some placements touch every edge of the window; and
+    # the placement search alone on windows from 2 narrower than the
+    # polygon to a period cell wider, where placements that would wrap
+    # across a row edge are not ruled out beforehand.
     polygon = koch_polygon(order)
     cell = period_cell(koch_pattern(order, (0, 0, 0)))
     verts = polygon.vertices
@@ -174,29 +177,18 @@ def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_
     j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
     window = Window(i_min, i_min + i_span + cell[0] - 1, j_min, j_min + j_span + cell[1] - 1)
     period = koch_oracle.phase_period(order)
-    phases = tuple(data.draw(st.integers(0, period - 1)) for _ in range(3))
+    # the Koch phases, at which the polygon is found, or any phases
+    phases = data.draw(st.one_of(st.just(koch_oracle.KOCH_PHASES),
+                                 st.tuples(*[st.integers(0, period - 1)] * 3)))
     res = verify_koch(order, window, phase_search=False, phases=phases)
     hit = _walk_search(order, window, phases)
     assert res.found == (hit is not None)
     assert res.matched_cycle == hit
-
-
-@settings(deadline=None)
-@given(st.integers(0, 2), st.integers(-30, 30), st.integers(-30, 30),
-       st.integers(-2, 12), st.integers(-2, 12))
-def test_anchors_are_the_placements_inside_the_window(order, i_min, j_min, i_extra, j_extra):
-    # Windows from a little narrower to a little wider than each point
-    # image of the polygon; the triangle has two, of different extents.
-    for image in _reference_point_images(koch_polygon(order)):
-        verts = image.vertices
-        i_span = max(i for i, _ in verts) - min(i for i, _ in verts) + 1
-        j_span = max(j for _, j in verts) - min(j for _, j in verts) + 1
-        window = Window(i_min, i_min + i_span + i_extra - 1, j_min, j_min + j_span + j_extra - 1)
-        inside = set(window.vertices())
-        fits = set.intersection(*({(i - di, j - dj) for i, j in inside} for di, dj in verts))
-        bits = bin(koch_oracle._anchors(window, image))[:1:-1]
-        assert {(window.i_min + a // window.j_count, window.j_min + a % window.j_count)
-                for a, bit in enumerate(bits) if bit == "1"} == fits
+    i_extra, j_extra = (data.draw(st.integers(-2, c)) for c in cell)
+    window = Window(i_min, i_min + i_span + i_extra - 1, j_min, j_min + j_span + j_extra - 1)
+    design = generate_design(window, koch_pattern(order, phases))
+    assert (koch_oracle._find_polygon(design, Cycle((0, 0), polygon.codes))
+            == _walk_search(order, window, phases))
 
 
 def _point_image_walks(cycle: Cycle) -> list[list[tuple[int, int]]]:

@@ -1,11 +1,18 @@
 import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isostitch import (DirectionSpec, RenderOptions, StitchPattern, Window,
-                       generate_design, koch_polygon, to_svg, verify_koch)
+from isostitch import (Cycle, DirectionSpec, RenderOptions, StitchPattern, Window,
+                       generate_design, koch_polygon, segment_endpoints, to_svg,
+                       vertex_to_cartesian, verify_koch)
+from isostitch.render import (BACK_COLOR, DOT_COLOR, EMPTY_DOT_COLOR, FRONT_COLOR,
+                              HIGHLIGHT_COLOR)
+from test_design_graph import convention, mixed_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,3 +118,71 @@ def test_invalid_options_rejected():
 def test_golden_fixtures_are_stable(name, word, hi, opts):
     payload = to_svg(_design(word, hi), opts)
     assert payload == (GOLDEN / name).read_bytes()
+
+
+def _reference_svg(design, opts: RenderOptions) -> bytes:
+    """The SVG writer as one loop per side over the sorted segment set, with
+    its own page mapping and four-decimal formatting."""
+    def fmt(x):
+        text = f"{x:.4f}"
+        return "0.0000" if text == "-0.0000" else text
+
+    win, unit = design.window, opts.unit_px
+    corners = [vertex_to_cartesian(c) for c in product((win.i_min, win.i_max),
+                                                       (win.j_min, win.j_max))]
+    x_lo, x_hi = min(x for x, _ in corners) - 1.0, max(x for x, _ in corners) + 1.0
+    y_lo, y_hi = min(y for _, y in corners) - 1.0, max(y for _, y in corners) + 1.0
+    mirror = opts.mirror_back and opts.side in ("back", "both")
+
+    def point(v):
+        x, y = vertex_to_cartesian(v)
+        if mirror:
+            x = x_hi + x_lo - x
+        return (x - x_lo) * unit, (y_hi - y) * unit
+
+    width, height = fmt((x_hi - x_lo) * unit), fmt((y_hi - y_lo) * unit)
+    sw = opts.stroke_width * unit
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+    if opts.show_grid_dots:
+        for v in win.vertices():
+            empty = v[0] % 2 == 1 and v[1] % 2 == 1
+            if empty and not opts.show_empty_vertices:
+                continue
+            x, y = point(v)
+            parts.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" '
+                         f'r="{fmt(unit * (0.05 if empty else 0.06))}" '
+                         f'fill="{EMPTY_DOT_COLOR if empty else DOT_COLOR}"/>')
+    for side, segments, color, dash in (
+            ("back", design.back, BACK_COLOR,
+             f' stroke-dasharray="{fmt(unit * 0.18)} {fmt(unit * 0.12)}"'),
+            ("front", design.front, FRONT_COLOR, "")):
+        if opts.side not in (side, "both"):
+            continue
+        for seg in sorted(segments):
+            (x1, y1), (x2, y2) = (point(v) for v in segment_endpoints(seg))
+            parts.append(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+                         f'stroke="{color}" stroke-width="{fmt(sw)}" '
+                         f'stroke-linecap="round"{dash}/>')
+    for cyc in opts.highlight:
+        pts = " ".join(",".join(map(fmt, point(v))) for v in cyc.vertices)
+        parts.append(f'<polygon points="{pts}" fill="none" stroke="{HIGHLIGHT_COLOR}" '
+                     f'stroke-width="{fmt(sw * 1.6)}" stroke-linejoin="round"/>')
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 14), st.integers(0, 14))
+def test_svg_matches_the_sorted_segment_set_reference(specs, conv, i0, j0, w, h):
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    hexagram = Cycle((i0, j0), koch_polygon(1).codes)
+    for side, mirror, dots, empty, highlight in product(
+            ("front", "back", "both"), *[(False, True)] * 4):
+        opts = RenderOptions(side=side, mirror_back=mirror, show_grid_dots=dots,
+                             show_empty_vertices=empty,
+                             highlight=(hexagram,) if highlight else ())
+        assert to_svg(design, opts) == _reference_svg(design, opts)

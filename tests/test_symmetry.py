@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
                        LatticeIsometry, LineId, OverlapTooSmallError, SegmentId,
-                       StitchPattern, Window, classify_wallpaper, dual,
+                       StitchPattern, Window, classify_wallpaper, cli, dual,
                        generate_design, is_line_present, is_self_dual,
                        is_symmetry, period_cell, segment_between,
-                       segment_endpoints, translation_basis)
+                       segment_endpoints, symmetry, translation_basis)
 from isostitch.symmetry import IDENTITY, MIRROR_X, ROT60, _row_shift_period, point_matrix
 from stitch_rule import is_front
 
@@ -51,6 +51,59 @@ def test_translation_lattice_from_word_periods():
     assert translation_basis(
         StitchPattern.uniform(DirectionSpec.periodic("0001"))) == ((8, 0), (0, 8))
     assert period_cell(StitchPattern.uniform(DirectionSpec.koch(3))) == (36, 36)
+
+
+def _reference_row_shift_period(pattern: StitchPattern, f: int) -> int:
+    """The row-shift period by search: the least d with bit(m + d) equal to
+    bit(m) xor (slope * d mod 2) for every m."""
+    seq = pattern.specs[f].bit_sequence()
+    slope = pattern.convention.phase_slope[f]
+    p = len(seq)
+    for d in range(1, 2 * p + 1):
+        eps = (slope * d) % 2
+        if all(seq.cyclic(m + d) == seq.cyclic(m) ^ eps for m in range(p)):
+            return d
+    raise AssertionError("unreachable: 2p always satisfies the condition")
+
+
+_bits = st.tuples(*[st.integers(0, 1)] * 3)
+# any of the 64 phase base/slope conventions
+_convention = st.builds(GridConvention, phase_base=_bits, phase_slope=_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.builds(DirectionSpec.periodic, st.text(alphabet="01", min_size=1, max_size=12),
+                      phase=st.integers(-30, 30)),
+       convention=_convention, f=st.integers(0, 2))
+def test_row_shift_period_is_the_least_period_found_by_search(spec, convention, f):
+    pattern = StitchPattern.uniform(spec, convention)
+    assert _row_shift_period(pattern, f) == _reference_row_shift_period(pattern, f)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_row_shift_period_of_koch_words_matches_the_search(order):
+    for slope in (0, 1):
+        pattern = StitchPattern.uniform(DirectionSpec.koch(order, phase=order),
+                                        GridConvention(phase_slope=(slope, slope, slope)))
+        assert _row_shift_period(pattern, 0) == _reference_row_shift_period(pattern, 0)
+
+
+def test_analyze_derives_the_translation_lattice_once(tmp_path, monkeypatch):
+    # One row-shift period per family for the whole command, however many
+    # isometries the searches check on the design and on its dual.
+    calls = []
+    period = symmetry._row_shift_period
+
+    def counting(pattern, f):
+        calls.append(f)
+        return period(pattern, f)
+
+    translation_basis.cache_clear()
+    monkeypatch.setattr(symmetry, "_row_shift_period", counting)
+    assert cli.main(["analyze", "--word-a", "01", "--word-b", "0", "--word-c", "0011",
+                     "--phase-c", "1", "--window=-24:24:-24:24",
+                     "--report", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == [0, 1, 2]
 
 
 def test_identity_is_a_symmetry_of_any_design():
@@ -198,7 +251,6 @@ def _centered(rotation: int, reflect: bool, window: Window, shift: tuple[int, in
                            (c[0] - mc[0] + shift[0], c[1] - mc[1] + shift[1]))
 
 
-_bits = st.tuples(*[st.integers(0, 1)] * 3)
 _word = st.text(alphabet="01", min_size=1, max_size=3)
 
 
