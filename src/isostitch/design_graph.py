@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .grid import DIRECTION_INDEX, DIRECTIONS, Family
+from .grid import DIRECTION_INDEX, DIRECTIONS, Family, point_directions
 from .stitcher import Design
 
 
@@ -258,14 +258,13 @@ def _least_rotation(s: str) -> str:
     return d[k:k + n]
 
 
-# One bytes.translate table per lattice point symmetry, rotation by r
-# composed with reflection or not: direction code d + 1 becomes the code of
-# direction (r + d) or (r - d) mod 6. Reversing a traversal turns each
-# direction d into d + 3, which only permutes these 12 tables, so the
-# reversed codes need no table of their own.
+# One bytes.translate table per lattice point symmetry: direction code d + 1
+# becomes the code of its image under grid.point_directions. Reversing a
+# traversal turns each direction d into d + 3, which only permutes these 12
+# tables, so the reversed codes need no table of their own.
 _POINT_CODES = tuple(
-    bytes.maketrans(b"\1\2\3\4\5\6", bytes((r + sign * d) % 6 + 1 for d in range(6)))
-    for r in range(6) for sign in (1, -1))
+    bytes.maketrans(b"\1\2\3\4\5\6", bytes(d + 1 for d in point_directions(r, reflect)))
+    for r in range(6) for reflect in (False, True))
 # Direction code d + 1 becomes the ASCII digit of d, the signature alphabet.
 _DIGITS = bytes.maketrans(b"\1\2\3\4\5\6", b"012345")
 

@@ -30,6 +30,14 @@ DIRECTIONS: tuple[tuple[int, int], ...] = (
 DIRECTION_INDEX = {d: n for n, d in enumerate(DIRECTIONS)}
 
 
+def point_directions(rotation: int, reflect: bool) -> tuple[int, ...]:
+    """The lattice's 12-element point group on direction indices: d goes to
+    (rotation + d) mod 6, or to (rotation - d) mod 6 when reflect, which
+    reflects across the +x axis before rotating by rotation * 60 degrees."""
+    sign = -1 if reflect else 1
+    return tuple((rotation + sign * d) % 6 for d in range(6))
+
+
 class Family(IntEnum):
     A = 0
     B = 1

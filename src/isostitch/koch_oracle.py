@@ -205,7 +205,7 @@ def _confirm(hit: Cycle, polygon: Cycle, pattern: StitchPattern) -> None:
 def phase_period(order: int) -> int:
     """Period of the order-n palindromic word sequence, hence the number of
     distinct phases per family."""
-    return 2 * 3 ** (order - 1)
+    return len(DirectionSpec.koch(order).bit_sequence())
 
 
 def phase_candidates(order: int) -> list[tuple[int, int, int]]:

@@ -6,9 +6,10 @@ line. The line's offset bit decides which side the stitch at s = 0 lands on,
 and phase_base/phase_slope (grid conventions) fix how that alternation lines
 up across parallel lines. A segment is a front stitch exactly when
 
-    s + row(line) is odd,   row = phase_base[F] + phase_slope[F] * ordinal + bit(line),
+    s + row(line) is odd,
 
-so one row parity per present line determines the whole design. A Design
+with the line's row parity read from StitchPattern.row_bits, so one row
+parity per present line determines the whole design. A Design
 stores just that: per family, (k, s_lo, s_hi, row) for each present line
 crossing the window. The front and back SegmentId sets are built from those
 rows only when a caller asks for them.
@@ -73,6 +74,17 @@ class StitchPattern:
     def uniform(cls, spec: DirectionSpec,
                 convention: GridConvention = DEFAULT_CONVENTION) -> "StitchPattern":
         return cls((spec, spec, spec), convention)
+
+    def row_bits(self, family: int) -> bytes:
+        """One period of family's row parities: byte m is the row of its
+        present line with ordinal m, (phase_base + phase_slope * m +
+        bit(m + phase)) mod 2. They repeat after 2p ordinals for a bit
+        sequence of length p."""
+        spec = self.specs[family]
+        seq = spec.bit_sequence()
+        base, slope = self.convention.phase_base[family], self.convention.phase_slope[family]
+        return bytes((base + slope * m + seq.cyclic(m + spec.phase)) % 2
+                     for m in range(2 * len(seq)))
 
 
 # (k, s_lo, s_hi, row): a present line k whose segments s in [s_lo, s_hi] lie
@@ -154,18 +166,12 @@ def generate_design(window: Window, pattern: StitchPattern) -> Design:
     segments with both endpoints in the window are split by it into front
     and back stitches."""
     window.validate()
-    conv = pattern.convention
     lines = []
     for f in (Family.A, Family.B, Family.C):
-        spec = pattern.specs[f]
-        seq = spec.bit_sequence()
+        bits = pattern.row_bits(f)
         parity = PRESENCE_PARITY[f]
-        base, slope = conv.phase_base[f], conv.phase_slope[f]
-        rows = []
-        for k, s_lo, s_hi in _line_ranges(window, f, parity):
-            m = (k - parity) // 2
-            rows.append((k, s_lo, s_hi, (base + slope * m + seq.cyclic(m + spec.phase)) % 2))
-        lines.append(tuple(rows))
+        lines.append(tuple((k, s_lo, s_hi, bits[(k - parity) // 2 % len(bits)])
+                           for k, s_lo, s_hi in _line_ranges(window, f, parity)))
     return Design(window, tuple(lines), pattern)
 
 

@@ -31,34 +31,20 @@ from itertools import count
 from math import gcd
 
 from .errors import OverlapTooSmallError
-from .grid import Family, SegmentId, Window, segment_between, segment_endpoints
+from .grid import (DIRECTIONS, Family, SegmentId, Window, point_directions, segment_between,
+                   segment_endpoints)
 from .stitcher import Design, StitchPattern
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY: Matrix = ((1, 0), (0, 1))
-ROT60: Matrix = ((0, -1), (1, 1))        # 60 degrees counterclockwise
-MIRROR_X: Matrix = ((1, 1), (0, -1))     # reflection across the +x axis
-
-
-def _matmul(p: Matrix, q: Matrix) -> Matrix:
-    return tuple(tuple(sum(p[r][k] * q[k][c] for k in range(2)) for c in range(2))
-                 for r in range(2))  # type: ignore[return-value]
-
-
-def _matpow(p: Matrix, n: int) -> Matrix:
-    out = IDENTITY
-    for _ in range(n):
-        out = _matmul(out, p)
-    return out
-
-
-ROTATIONS: tuple[Matrix, ...] = tuple(_matpow(ROT60, r) for r in range(6))
-
 
 def point_matrix(rotation: int, reflect: bool) -> Matrix:
-    """Reflection across +x first (when requested), then rotation."""
-    return _matmul(ROTATIONS[rotation % 6], MIRROR_X) if reflect else ROTATIONS[rotation % 6]
+    """Reflection across +x first (when requested), then rotation: the
+    matrix whose columns are the images of directions 0 and 1, the lattice
+    basis, under grid.point_directions."""
+    d0, d1 = point_directions(rotation, reflect)[:2]
+    (a, c), (b, d) = DIRECTIONS[d0], DIRECTIONS[d1]
+    return ((a, b), (c, d))
 
 
 def _apply(m: Matrix, t: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -83,11 +69,8 @@ class LatticeIsometry:
 
 def _row_shift_period(pattern: StitchPattern, f: int) -> int:
     """Smallest ordinal shift d leaving family f's front/back row parity
-    unchanged: the least period of the row parities bit(m) xor (slope*m mod 2),
-    which repeat after 2p ordinals for a word of length p."""
-    seq = pattern.specs[f].bit_sequence()
-    slope = pattern.convention.phase_slope[f]
-    t = bytes(seq.cyclic(m) ^ (slope * m) % 2 for m in range(2 * len(seq)))
+    unchanged: the least period of StitchPattern.row_bits(f)."""
+    t = pattern.row_bits(f)
     return (t + t).find(t, 1)
 
 
@@ -187,7 +170,7 @@ def is_symmetry(design: Design, iso: LatticeIsometry) -> bool:
     the window overlap. Requires the overlap to contain at least one full
     period cell; raises OverlapTooSmallError otherwise. The identity is a
     symmetry of any design."""
-    if iso.matrix() == IDENTITY and iso.translation == (0, 0):
+    if iso.rotation % 6 == 0 and not iso.reflect and iso.translation == (0, 0):
         return True
     return _maps_front_onto(design, iso, design.front)
 

@@ -4,8 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isostitch import VerificationResult, cli
+from isostitch import (DirectionSpec, StitchPattern, VerificationResult, Window, cli,
+                       generate_design)
+from test_design_graph import convention, mixed_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,6 +111,23 @@ def test_analyze_reference_patterns(tmp_path):
     assert data["koch"] is None
     witnesses = data["wallpaper"]["front"]["witnesses"]
     assert any(w["role"] == "rotation-3" for w in witnesses)
+
+
+def test_empty_vertex_check_fails_honestly_on_a_window_one_vertex_wide():
+    # (2, 1) and (4, 1) lie on present lines, but every stitch of theirs
+    # leaves the window, so they have none in it.
+    pattern = StitchPattern.uniform(DirectionSpec.periodic("0"))
+    result = cli.invariant_results(generate_design(Window(1, 5, 1, 1), pattern))
+    assert result["empty_vertices"] == {"empty": 5, "total": 5, "expected": 3, "pass": False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12), st.integers(1, 12))
+def test_stitchless_vertices_are_the_empty_ones_on_windows_of_two_by_two_up(specs, conv, i0,
+                                                                            j0, w, h):
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    assert all(entry["pass"] for entry in cli.invariant_results(design).values())
 
 
 def test_analyze_report_round_trips(tmp_path):

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isostitch import (DEFAULT_CONVENTION, EMPTY, Design, DirectionSpec,
-                       StitchPattern, Window, WordError, dual, generate_design,
+from isostitch import (DEFAULT_CONVENTION, EMPTY, PRESENCE_PARITY, Design, DirectionSpec,
+                       SegmentId, StitchPattern, Window, WordError, dual, generate_design,
                        is_line_present, lines_through, segment_between,
                        segment_endpoints, vertex_degree_class)
 from stitch_rule import is_front, line_bit
+from test_design_graph import convention
 
 spec_strategy = st.one_of(
     st.sampled_from("01").map(DirectionSpec.periodic),
@@ -22,6 +23,19 @@ window_strategy = st.builds(
     lambda i0, j0, w, h: Window(i0, i0 + w, j0, j0 + h),
     st.integers(-15, 15), st.integers(-15, 15),
     st.integers(0, 24), st.integers(0, 24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=spec_strategy, conv=convention, family=st.integers(0, 2))
+def test_row_bits_are_the_stitch_rule_rows(spec, conv, family):
+    # the row of present line 2m + parity is the side of its s = 0 segment,
+    # front for 1, and one period of rows covers every ordinal
+    pattern = StitchPattern.uniform(spec, conv)
+    bits = pattern.row_bits(family)
+    assert len(bits) == 2 * len(spec.bit_sequence())
+    for m in range(-len(bits), 2 * len(bits)):
+        seg = SegmentId(family, 2 * m + PRESENCE_PARITY[family], 0)
+        assert bits[m % len(bits)] == is_front(seg, pattern)
 
 
 def test_direction_spec_kinds():

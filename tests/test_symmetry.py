@@ -11,7 +11,9 @@ from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
                        generate_design, is_line_present, is_self_dual,
                        is_symmetry, period_cell, segment_between,
                        segment_endpoints, symmetry, translation_basis)
-from isostitch.symmetry import IDENTITY, MIRROR_X, ROT60, _row_shift_period, point_matrix
+from isostitch.design_graph import _POINT_CODES
+from isostitch.grid import DIRECTIONS, point_directions
+from isostitch.symmetry import _row_shift_period, point_matrix
 from stitch_rule import is_front
 
 
@@ -23,15 +25,46 @@ def _design(word: str, half: int | None = None):
     return generate_design(Window(-half, half, -half, half), pat)
 
 
+def _matmul(p, q):
+    return tuple(tuple(sum(p[r][k] * q[k][c] for k in range(2)) for c in range(2))
+                 for r in range(2))
+
+
 def test_point_matrices():
-    assert point_matrix(0, False) == IDENTITY
-    assert point_matrix(1, False) == ROT60
-    m = ROT60
+    identity = ((1, 0), (0, 1))
+    rot60 = ((0, -1), (1, 1))        # 60 degrees counterclockwise
+    mirror_x = ((1, 1), (0, -1))     # reflection across the +x axis
+    assert point_matrix(0, False) == identity
+    assert point_matrix(1, False) == rot60
+    m = rot60
     for _ in range(5):
-        m = tuple(tuple(sum(ROT60[r][k] * m[k][c] for k in range(2))
-                        for c in range(2)) for r in range(2))
-    assert m == IDENTITY
-    assert point_matrix(0, True) == MIRROR_X
+        m = _matmul(rot60, m)
+    assert m == identity
+    assert point_matrix(0, True) == mirror_x
+
+
+_POINT_PARTS = [(r, reflect) for r in range(6) for reflect in (False, True)]
+
+
+@pytest.mark.parametrize("rotation,reflect", _POINT_PARTS)
+def test_point_matrix_and_point_codes_act_as_point_directions(rotation, reflect):
+    perm = point_directions(rotation, reflect)
+    m = point_matrix(rotation, reflect)
+    for d, (x, y) in enumerate(DIRECTIONS):
+        assert (m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y) == DIRECTIONS[perm[d]]
+    codes = bytes(range(1, 7)).translate(_POINT_CODES[_POINT_PARTS.index((rotation, reflect))])
+    assert codes == bytes(d + 1 for d in perm)
+
+
+def test_composing_point_parts_composes_their_permutations():
+    part_of = {point_directions(*part): part for part in _POINT_PARTS}
+    assert len(part_of) == 12
+    for p in _POINT_PARTS:
+        for q in _POINT_PARTS:
+            pp, pq = point_directions(*p), point_directions(*q)
+            composed = tuple(pp[pq[d]] for d in range(6))
+            assert composed in part_of
+            assert _matmul(point_matrix(*p), point_matrix(*q)) == point_matrix(*part_of[composed])
 
 
 def test_sixfold_rotation_has_order_six():
@@ -392,3 +425,70 @@ def test_mirror_witness_is_the_nearest_pure_reflection_of_its_class(pattern, cor
                 s = (k * n[0], k * n[1])
                 if in_lattice((s[0] - t[0], s[1] - t[1])):
                     assert key(s) >= key(t)
+
+
+def _about_empty_vertex(rotation: int, reflect: bool) -> LatticeIsometry:
+    """The point symmetry (rotation, reflect) fixing the empty vertex (1, 1).
+    All three lines through (1, 1) are absent, so it maps absent lines onto
+    absent lines and present ones onto present ones."""
+    m1 = LatticeIsometry(rotation, reflect).apply((1, 1))
+    return LatticeIsometry(rotation, reflect, (1 - m1[0], 1 - m1[1]))
+
+
+def _conjugate(pattern: StitchPattern, rotation: int, reflect: bool) -> StitchPattern:
+    """The pattern whose design is the image of pattern's under
+    _about_empty_vertex(rotation, reflect).
+
+    The image of a line alternates like its preimage, so the side of its
+    s = 0 segment decides it: the image's row for ordinal m' is 1 exactly
+    when the preimage of that segment is a front stitch. Moving m' by the
+    lcm of the row_bits periods moves the preimage by a multiple of every
+    family's period and its position by an even amount, so the rows repeat
+    with that period, stored as a word with phase base and slope 0."""
+    # a reflection is its own inverse
+    inverse = _about_empty_vertex(rotation if reflect else -rotation % 6, reflect)
+    period = lcm(*(len(pattern.row_bits(f)) for f in range(3)))
+    specs = []
+    for f in range(3):
+        rows = []
+        for m in range(period):
+            u, v = segment_endpoints(SegmentId(f, 2 * m + PRESENCE_PARITY[f], 0))
+            preimage = segment_between(inverse.apply(u), inverse.apply(v))
+            rows.append("1" if is_front(preimage, pattern) else "0")
+        specs.append(DirectionSpec.periodic("".join(rows)))
+    return StitchPattern(tuple(specs), GridConvention(phase_base=(0, 0, 0),
+                                                      phase_slope=(0, 0, 0)))
+
+
+# one mixed-family pattern per wallpaper group of the front, small period cells
+_GROUP_PATTERNS = {
+    "p1": (("01", 0), ("0001", 0), ("01", 1)),
+    "p2": (("0011", 0), ("011", 0), ("0", 1)),
+    "pm": (("01", 0), ("01", 0), ("01", 1)),
+    "pmg": (("1", 0), ("0", 0), ("0011", 0)),
+    "pmm": (("0", 0), ("0011", 0), ("1", 1)),
+    "cmm": (("0", 0), ("0011", 0), ("0011", 1)),
+    "p3m1": (("01", 0), ("01", 0), ("01", 0)),
+    "p6mm": (("1", 0), ("0", 0), ("1", 1)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(group=st.sampled_from(sorted(_GROUP_PATTERNS)), rotation=st.integers(0, 5),
+       reflect=st.booleans())
+def test_conjugating_by_a_point_symmetry_maps_the_front_and_keeps_the_group(group, rotation,
+                                                                          reflect):
+    pattern = StitchPattern(tuple(DirectionSpec.periodic(w, phase=p)
+                                  for w, p in _GROUP_PATTERNS[group]))
+    image = _conjugate(pattern, rotation, reflect)
+    g = _about_empty_vertex(rotation, reflect)
+    half = 2 * max(*period_cell(pattern), *period_cell(image), 6)
+    window = Window(1 - half, 1 + half, 1 - half, 1 + half)
+    design, moved = generate_design(window, pattern), generate_design(window, image)
+    mapped = {segment_between(g.apply(u), g.apply(v))
+              for u, v in map(segment_endpoints, design.front)}
+    visible = {seg for seg in mapped
+               if all(map(window.contains, segment_endpoints(seg)))}
+    assert visible and visible <= moved.front
+    assert classify_wallpaper(design)[0] == group
+    assert classify_wallpaper(moved)[0] == group
