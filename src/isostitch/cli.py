@@ -3,25 +3,30 @@ and convention calibration.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 analysis inconclusive,
 5 verification not found.
+
+Each function imports the modules it uses when it runs, so a process that
+runs one command line through ``run`` (``python -m isostitch``, the
+``isostitch`` script) loads only what that command needs: --version and
+--help load no design module, and verify-koch loads neither symmetry nor
+render. ``main`` is the in-process entry point; it loads every design
+module first (see its docstring).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .design_graph import MotifCensus, motif_census, motif_signature
-from .errors import CalibrationError, InvalidOrderError, IsostitchError, \
-    OverlapTooSmallError, WindowError, WordError
-from .grid import EMPTY, PRESENCE_PARITY, Family, GridConvention, Window, \
-    segment_endpoints, vertex_degree_class
-from .koch_oracle import (KOCH_PHASES, VerificationResult, koch_pattern, koch_polygon,
-                          koch_window, phase_candidates, verify_koch)
-from .render import RenderOptions, to_svg
-from .stitcher import Design, DirectionSpec, StitchPattern, dual, generate_design
-from .symmetry import LatticeIsometry, classify_wallpaper, is_self_dual, period_cell
+from .errors import (CalibrationError, InvalidOrderError, IsostitchError,
+                     OverlapTooSmallError, WindowError, WordError)
+
+if TYPE_CHECKING:
+    from .design_graph import MotifCensus
+    from .grid import GridConvention, Window
+    from .koch_oracle import VerificationResult
+    from .stitcher import Design, DirectionSpec, StitchPattern
+    from .symmetry import LatticeIsometry
 
 USAGE_ERROR, IO_ERROR, INCONCLUSIVE, NOT_FOUND = 2, 3, 4, 5
 
@@ -39,6 +44,7 @@ def _spec_to_dict(spec: DirectionSpec) -> dict:
 
 
 def _pattern_to_dict(p: StitchPattern) -> dict:
+    from .grid import PRESENCE_PARITY
     return {"directions": [_spec_to_dict(s) for s in p.specs],
             "convention": {"presence_parity": list(PRESENCE_PARITY),
                            "phase_base": list(p.convention.phase_base),
@@ -52,6 +58,7 @@ def iso_to_dict(iso: LatticeIsometry) -> dict:
 
 
 def _koch_to_dict(res: VerificationResult) -> dict:
+    from .grid import Family
     return {"found": res.found,
             "phases": {Family(f).name: v for f, v in sorted(res.phases.items())},
             "matched_cycle": None if res.matched_cycle is None
@@ -72,6 +79,7 @@ def _report(pattern: StitchPattern, window: Window, invariants: dict, census: di
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
     text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -80,6 +88,7 @@ def _write_json(path: str, payload: dict) -> None:
 # ------------------------------------------------------------ arg parsing
 
 def _parse_window(text: str) -> Window:
+    from .grid import Window
     parts = text.split(":")
     if len(parts) != 4:
         raise WindowError(f"window must be imin:imax:jmin:jmax, got {text!r}")
@@ -104,10 +113,12 @@ def _add_pattern_args(p: argparse.ArgumentParser) -> None:
 
 
 def _pattern_from_args(args) -> StitchPattern:
+    from .stitcher import DirectionSpec, StitchPattern
     phases = [args.phase_a or 0, args.phase_b or 0, args.phase_c or 0]
     if args.koch_order is not None:
         if any(w is not None for w in (args.word, args.word_a, args.word_b, args.word_c)):
             raise WordError("--koch-order cannot be combined with --word options")
+        from .koch_oracle import KOCH_PHASES, koch_pattern
         phases = tuple(KOCH_PHASES[f] if p is None else p
                        for f, p in enumerate((args.phase_a, args.phase_b, args.phase_c)))
         return koch_pattern(args.koch_order, phases)
@@ -124,6 +135,8 @@ def _pattern_from_args(args) -> StitchPattern:
 
 def _auto_window(pattern: StitchPattern) -> Window:
     """Origin-centered window spanning at least four period cells."""
+    from .grid import Window
+    from .stitcher import period_cell
     ci, cj = period_cell(pattern)
     h = max(4 * max(ci, cj), 24)
     return Window(-h, h, -h, h).validate()
@@ -133,6 +146,7 @@ def _window_from_args(args, pattern: StitchPattern) -> Window:
     if args.window is not None:
         return _parse_window(args.window)
     if args.koch_order is not None:
+        from .koch_oracle import koch_window
         return koch_window(args.koch_order)
     return _auto_window(pattern)
 
@@ -151,6 +165,7 @@ def invariant_results(design: Design) -> dict:
     ends at each vertex, front ends as 1 and back ends as 8: no vertex ends
     more than six, so count % 8 and count // 8 are its two degrees, and as
     every stitch lies in the window, the vertices not in it have none."""
+    from .grid import EMPTY, segment_endpoints, vertex_degree_class
     win = design.window
     ends: dict = {}
     for weight, segments in ((1, design.front), (8, design.back)):
@@ -175,6 +190,9 @@ def census_to_dict(census: MotifCensus) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .design_graph import motif_census
+    from .stitcher import dual, generate_design
+    from .symmetry import classify_wallpaper, is_self_dual
     pattern = _pattern_from_args(args)
     window = _window_from_args(args, pattern)
     design = generate_design(window, pattern)
@@ -212,6 +230,10 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------- render
 
 def cmd_render(args) -> int:
+    from dataclasses import replace
+
+    from .render import RenderOptions, to_svg
+    from .stitcher import generate_design
     try:
         opts = RenderOptions(side=args.side, mirror_back=args.mirror_back,
                              show_grid_dots=args.dots, show_empty_vertices=args.empty_dots,
@@ -225,6 +247,7 @@ def cmd_render(args) -> int:
     if args.highlight_koch:
         if args.koch_order is None:
             raise WordError("--highlight-koch requires --koch-order")
+        from .koch_oracle import verify_koch
         res = verify_koch(args.koch_order, window, phase_search=False,
                           phases=tuple(s.phase for s in pattern.specs))
         if res.matched_cycle is not None:
@@ -240,6 +263,7 @@ def cmd_render(args) -> int:
 # ------------------------------------------------------------ verify-koch
 
 def cmd_verify_koch(args) -> int:
+    from .koch_oracle import koch_pattern, koch_window, phase_candidates, verify_koch
     if not 1 <= args.order <= 6:
         raise InvalidOrderError(f"--order must be in 1..6, got {args.order}")
     if args.order >= 5 and not args.long_running:
@@ -279,6 +303,11 @@ def calibrate() -> tuple[GridConvention, list[GridConvention]]:
     mirrors. Returns the lexicographically least accepting convention plus
     the whole accepting list.
     """
+    from .design_graph import motif_census, motif_signature
+    from .grid import GridConvention, Window
+    from .koch_oracle import koch_polygon
+    from .stitcher import DirectionSpec, StitchPattern, generate_design
+    from .symmetry import classify_wallpaper
     win = Window(0, 39, 0, 39)
     hexagram_sig = motif_signature(koch_polygon(1))
     accepted = []
@@ -306,6 +335,7 @@ def calibrate() -> tuple[GridConvention, list[GridConvention]]:
 
 
 def cmd_calibrate(args) -> int:
+    from .grid import PRESENCE_PARITY
     chosen, accepted = calibrate()
     for conv in accepted:
         print(f"accepting: base={conv.phase_base} slope={conv.phase_slope}")
@@ -363,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv: list[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> int:
+    """Run one command line; the subcommand loads only the modules it uses."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -379,5 +410,15 @@ def main(argv: list[str] | None = None) -> int:
         return INCONCLUSIVE
 
 
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line in this process, as ``run`` does, after loading
+    every design module a subcommand can use. A caller that wraps or patches
+    module functions between calls, as the per-layer tracer in
+    ``benchmarks/layers.py`` does, then finds every module in sys.modules
+    whichever subcommand ran first."""
+    from . import design_graph, koch_oracle, render, stitcher, symmetry  # noqa: F401
+    return run(argv)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -44,11 +44,6 @@ class Family(IntEnum):
     C = 2
 
 
-class LineId(NamedTuple):
-    family: int
-    k: int
-
-
 class SegmentId(NamedTuple):
     family: int
     k: int
@@ -119,15 +114,6 @@ class Window(NamedTuple):
 def vertex_to_cartesian(v: tuple[int, int]) -> tuple[float, float]:
     i, j = v
     return (i + j / 2.0, j * SQRT3_2)
-
-
-def lines_through(v: tuple[int, int]) -> tuple[LineId, LineId, LineId]:
-    i, j = v
-    return (LineId(Family.A, j), LineId(Family.B, i), LineId(Family.C, i + j))
-
-
-def is_line_present(line: LineId) -> bool:
-    return line.k % 2 == PRESENCE_PARITY[line.family]
 
 
 def vertex_degree_class(v: tuple[int, int]) -> str:

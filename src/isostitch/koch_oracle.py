@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .design_graph import Cycle, build_components, direction_slots, motif_signature
 from .errors import InvalidOrderError, WindowError
 from .grid import DIRECTIONS, Window
-from .stitcher import Design, DirectionSpec, StitchPattern, generate_design
-from .symmetry import period_cell
+from .stitcher import Design, DirectionSpec, StitchPattern, generate_design, period_cell
 
 # Relative word phases under which the snowflake verification succeeds;
 # reused as defaults so rendered Koch charts actually contain the snowflake.
@@ -211,7 +210,11 @@ def phase_period(order: int) -> int:
 def phase_candidates(order: int) -> list[tuple[int, int, int]]:
     """The phases verify_koch's search tries, in order: (0, b, c) for b in
     (0, 1) and c below phase_period(order), one per orbit of the translation
-    argument in verify_koch's docstring."""
+    argument in verify_koch's docstring.
+
+    The A phase is fixed at 0, so these cover half of the phase space's
+    translation classes: no translation changes the A phase's parity, and
+    the classes with A phase 1 are not visited."""
     return [(0, b, c) for b in (0, 1) for c in range(phase_period(order))]
 
 
@@ -263,6 +266,12 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
       than its other members. So the first hit of the full scan has b <= 1,
       and the quotient scan, which visits those candidates in the same
       order, meets it first too, with the same design and matched cycle.
+
+    The full scan, and so this search, fixes the A phase at 0 and does not
+    visit the other half of the phase space. Translating design (a, b, c) by
+    (0, 4t) gives design (a - 2t, b, c - 2t), and by (4t, 0) design
+    (a, b - 2t, c - 2t), so no translation changes the A phase's parity, and
+    the designs with A phase 1 are never tried.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"verification order must be an integer >= 1, got {order!r}")

@@ -13,11 +13,16 @@ parity per present line determines the whole design. A Design
 stores just that: per family, (k, s_lo, s_hi, row) for each present line
 crossing the window. The front and back SegmentId sets are built from those
 rows only when a caller asks for them.
+
+The design's translation lattice follows from the same row parities:
+translation_basis solves for it from the least period of each family's
+row_bits, so the Koch search and the symmetry checks share one lattice rule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from math import gcd
 from typing import Iterator
 
 from .errors import WordError
@@ -85,6 +90,38 @@ class StitchPattern:
         base, slope = self.convention.phase_base[family], self.convention.phase_slope[family]
         return bytes((base + slope * m + seq.cyclic(m + spec.phase)) % 2
                      for m in range(2 * len(seq)))
+
+
+def _row_shift_period(pattern: StitchPattern, f: int) -> int:
+    """Smallest ordinal shift d leaving family f's front/back row parity
+    unchanged: the least period of StitchPattern.row_bits(f)."""
+    t = pattern.row_bits(f)
+    return (t + t).find(t, 1)
+
+
+@cache
+def translation_basis(pattern: StitchPattern) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Generators of the design's full translation lattice.
+
+    A translation (2a, 2b) shifts present-line ordinals by b (family A),
+    a (family B) and a+b (family C); odd translations move present lines onto
+    absent ones and never preserve the design. Solving the three row-parity
+    congruences gives a basis in Hermite-like form (2*a1, 0), (2*e, 2*b2).
+    Computed once per pattern, so a design and its dual share the entry.
+    """
+    pa = _row_shift_period(pattern, Family.A)
+    pb = _row_shift_period(pattern, Family.B)
+    pc = _row_shift_period(pattern, Family.C)
+    a1 = pb * pc // gcd(pb, pc)
+    g = gcd(pb, pc)
+    b2 = pa * g // gcd(pa, g)
+    e = next(a for a in range(a1) if a % pb == 0 and (a + b2) % pc == 0)
+    return (2 * a1, 0), (2 * e, 2 * b2)
+
+
+def period_cell(pattern: StitchPattern) -> tuple[int, int]:
+    g1, g2 = translation_basis(pattern)
+    return g1[0], g2[1]
 
 
 # (k, s_lo, s_hi, row): a present line k whose segments s in [s_lo, s_hi] lie

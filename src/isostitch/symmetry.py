@@ -1,4 +1,4 @@
-"""Translation lattice, point symmetries, wallpaper group, and self-duality.
+"""Point symmetries, wallpaper group, and self-duality.
 
 Isometries of the triangular lattice are affine maps v -> M v + t in lattice
 coordinates, where M is one of the 12 integer point-group matrices (6
@@ -16,24 +16,23 @@ The search uses exact integer and rational arithmetic, no floats. For a
 reflection M, the pure reflections are (M, k n), where n is the primitive
 integer vector with (M + I) n = 0. A verified reflection (M, t) is a mirror
 when some k n lies in t + Lambda, tested on the Hermite-form basis of the
-translation lattice Lambda, and a proper glide otherwise. Its mirror witness
-is the pure reflection of that class nearest the window middle a: least
-Q(M a + k n - a), where Q(x, y) = x^2 + xy + y^2 is four times the squared
-distance from a to the axis, with exact ties going to the lesser
-translation.
+translation lattice Lambda (stitcher.translation_basis), and a proper glide
+otherwise. Its mirror witness is the pure reflection of that class nearest
+the window middle a: least Q(M a + k n - a), where Q(x, y) = x^2 + xy + y^2
+is four times the squared distance from a to the axis, with exact ties
+going to the lesser translation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from itertools import count
 from math import gcd
 
 from .errors import OverlapTooSmallError
-from .grid import (DIRECTIONS, Family, SegmentId, Window, point_directions, segment_between,
+from .grid import (DIRECTIONS, SegmentId, Window, point_directions, segment_between,
                    segment_endpoints)
-from .stitcher import Design, StitchPattern
+from .stitcher import Design, period_cell, translation_basis
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -65,38 +64,6 @@ class LatticeIsometry:
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         return _apply(self.matrix(), self.translation, v)
-
-
-def _row_shift_period(pattern: StitchPattern, f: int) -> int:
-    """Smallest ordinal shift d leaving family f's front/back row parity
-    unchanged: the least period of StitchPattern.row_bits(f)."""
-    t = pattern.row_bits(f)
-    return (t + t).find(t, 1)
-
-
-@cache
-def translation_basis(pattern: StitchPattern) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Generators of the design's full translation lattice.
-
-    A translation (2a, 2b) shifts present-line ordinals by b (family A),
-    a (family B) and a+b (family C); odd translations move present lines onto
-    absent ones and never preserve the design. Solving the three row-parity
-    congruences gives a basis in Hermite-like form (2*a1, 0), (2*e, 2*b2).
-    Computed once per pattern, so a design and its dual share the entry.
-    """
-    pa = _row_shift_period(pattern, Family.A)
-    pb = _row_shift_period(pattern, Family.B)
-    pc = _row_shift_period(pattern, Family.C)
-    a1 = pb * pc // gcd(pb, pc)
-    g = gcd(pb, pc)
-    b2 = pa * g // gcd(pa, g)
-    e = next(a for a in range(a1) if a % pb == 0 and (a + b2) % pc == 0)
-    return (2 * a1, 0), (2 * e, 2 * b2)
-
-
-def period_cell(pattern: StitchPattern) -> tuple[int, int]:
-    g1, g2 = translation_basis(pattern)
-    return g1[0], g2[1]
 
 
 def _invert(m: Matrix, t: tuple[int, int]) -> tuple[Matrix, tuple[int, int]]:

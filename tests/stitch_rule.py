@@ -7,8 +7,27 @@ Segment s of present line k in family F is a front stitch exactly when
 
 is odd, where m is the line's ordinal among the present lines of its family
 and bit is the family's offset word letter at m + phase.
+
+The line indexing it works on (LineId, lines_through, is_line_present) is
+kept here, since only the tests index lines one by one.
 """
-from isostitch import PRESENCE_PARITY, LineId, SegmentId, StitchPattern, is_line_present
+from typing import NamedTuple
+
+from isostitch import PRESENCE_PARITY, Family, SegmentId, StitchPattern
+
+
+class LineId(NamedTuple):
+    family: int
+    k: int
+
+
+def lines_through(v: tuple[int, int]) -> tuple[LineId, LineId, LineId]:
+    i, j = v
+    return (LineId(Family.A, j), LineId(Family.B, i), LineId(Family.C, i + j))
+
+
+def is_line_present(line: LineId) -> bool:
+    return line.k % 2 == PRESENCE_PARITY[line.family]
 
 
 def present_line_ordinal(line: LineId) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import (DirectionSpec, StitchPattern, VerificationResult, Window, cli,
-                       generate_design)
+                       generate_design, koch_oracle, stitcher)
 from test_design_graph import convention, mixed_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,13 +63,13 @@ def test_render_rejects_bad_sizes(tmp_path, capsys, flag, value):
 
 def test_render_front_never_builds_the_back_segment_set(tmp_path, monkeypatch, capsys):
     designs = []
-    generate = cli.generate_design
+    generate = stitcher.generate_design
 
     def capturing(window, pattern):
         designs.append(generate(window, pattern))
         return designs[-1]
 
-    monkeypatch.setattr(cli, "generate_design", capturing)
+    monkeypatch.setattr(stitcher, "generate_design", capturing)
     out = tmp_path / "f.svg"
     assert cli.main(["render", "--word-a", "01", "--word-b", "0", "--word-c", "0011",
                      "--phase-c", "1", "--window=-7:19:-3:22", "--side", "front",
@@ -213,7 +213,7 @@ def test_verify_koch_not_found_exits_5(monkeypatch, capsys):
     assert proc.stdout == "order 2: not found (tried phases 0,0,0)\n"
     # A full search that misses names how many phase triples it tried:
     # (0, b, c) for b in (0, 1) and c over the order-2 word period of 6.
-    monkeypatch.setattr(cli, "verify_koch", lambda order, window, phase_search, phases:
+    monkeypatch.setattr(koch_oracle, "verify_koch", lambda order, window, phase_search, phases:
                         VerificationResult(False, dict(enumerate(phases)), None))
     assert cli.main(["verify-koch", "--order", "2"]) == 5
     assert capsys.readouterr().out == "order 2: not found (searched 12 phase candidates)\n"
@@ -259,6 +259,71 @@ def test_cli_imports_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_module_imports_only_the_standard_library():
+    # The CLI imports most modules inside its functions, so import every
+    # submodule pkgutil finds.
+    probe = ("import importlib, pkgutil, sys\n"
+             "before = set(sys.modules)\n"
+             "import isostitch\n"
+             "names = [m.name for m in pkgutil.iter_modules(isostitch.__path__, 'isostitch.')]\n"
+             "for name in names:\n"
+             "    importlib.import_module(name)\n"
+             "added = set(sys.modules) - before\n"
+             "assert {'isostitch.render', 'isostitch.symmetry'} <= added, names\n"
+             "print(sorted(m for m in added if m.split('.')[0] != 'isostitch'\n"
+             "             and m.split('.')[0] not in sys.stdlib_module_names))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _modules_loaded_by(*args, cwd) -> set[str]:
+    """The modules a ``python -m isostitch *args`` run adds to sys.modules,
+    read when the interpreter exits."""
+    probe = ("import atexit, runpy, sys\n"
+             "before = set(sys.modules)\n"
+             "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr))\n"
+             "runpy.run_module('isostitch', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_version_loads_no_design_module(tmp_path):
+    loaded = {m for m in _modules_loaded_by("--version", cwd=tmp_path)
+              if m.split(".")[0] == "isostitch"}
+    assert "isostitch.cli" in loaded
+    assert loaded <= {"isostitch", "isostitch.__main__", "isostitch.cli", "isostitch.errors"}
+
+
+def test_verify_koch_loads_neither_render_nor_symmetry(tmp_path):
+    loaded = _modules_loaded_by("verify-koch", "--order", "1", cwd=tmp_path)
+    assert "isostitch.koch_oracle" in loaded
+    assert not loaded & {"isostitch.render", "isostitch.symmetry", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-koch", "--order", "1"],
+    ["analyze", "--word", "01", "--window", "0:5:0:5", "--report", "r.json"],
+    ["render", "--word", "01", "--window", "0:5:0:5", "--out", "r.svg"],
+])
+def test_per_layer_tracer_installs_after_any_in_process_subcommand(tmp_path, args):
+    # The benchmark's per-layer pass runs cli.main in-process, then wraps
+    # every function in layers.LAYERS, which it looks up in sys.modules.
+    probe = ("import sys\n"
+             f"sys.path.insert(0, {str(Path(__file__).parent.parent / 'benchmarks')!r})\n"
+             "from isostitch import cli\n"
+             "from layers import Tracer\n"
+             f"assert cli.main({args!r}) == 0\n"
+             "tracer = Tracer('time')\n"
+             "tracer.install()\n"
+             "tracer.uninstall()\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_calibrate_is_reproducible():

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isostitch import (DIRECTIONS, EMPTY, VISITED, Family, LineId, SegmentId,
-                       Window, WindowError, is_line_present, lines_through,
+from isostitch import (DIRECTIONS, EMPTY, VISITED, Family, SegmentId, Window, WindowError,
                        segment_between, segment_endpoints, vertex_degree_class,
                        vertex_to_cartesian)
-from stitch_rule import present_line_ordinal
+from stitch_rule import LineId, is_line_present, lines_through, present_line_ordinal
 
 coords = st.integers(min_value=-50, max_value=50)
 vertices = st.tuples(coords, coords)

@@ -132,9 +132,9 @@ def test_phase_quotient_agrees_with_the_full_search(order):
     assert len(koch_oracle.phase_candidates(order)) == 2 * period
 
 
-def _moved_front(design, di: int) -> set:
-    """The design's front stitches as endpoint pairs, moved by (di, 0)."""
-    return {tuple((i + di, j) for i, j in segment_endpoints(seg)) for seg in design.front}
+def _moved_front(design, di: int, dj: int = 0) -> set:
+    """The design's front stitches as endpoint pairs, moved by (di, dj)."""
+    return {tuple((i + di, j + dj) for i, j in segment_endpoints(seg)) for seg in design.front}
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,6 +152,26 @@ def test_moving_design_0bc_by_4t_gives_design_0_b_minus_2t_c_minus_2t(order, dat
     moved = generate_design(Window(i0 + 4 * t, i0 + w + 4 * t, j0, j0 + h),
                             koch_pattern(order, (0, (b - 2 * t) % period, (c - 2 * t) % period)))
     assert _moved_front(design, 4 * t) == _moved_front(moved, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_moving_design_abc_by_0_4t_gives_design_a_minus_2t_b_c_minus_2t(order, data):
+    # The other generator of the phase classes, phases taken mod P: (0, 4t)
+    # moves every A- and C-line by 4t, two present-line ordinals per t, and
+    # keeps each B-line, so the front of design (a, b, c) moved by (0, 4t)
+    # is the front of design (a - 2t, b, c - 2t). With (4t, 0) above, no
+    # translation changes the A phase's parity, so the search, which fixes
+    # a = 0, visits half of the translation classes.
+    period = koch_oracle.phase_period(order)
+    a, b, c = (data.draw(st.integers(0, period - 1)) for _ in range(3))
+    t = data.draw(st.integers(-period, period))
+    i0, j0 = (data.draw(st.integers(-40, 40)) for _ in range(2))
+    w, h = (data.draw(st.integers(0, 16)) for _ in range(2))
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), koch_pattern(order, (a, b, c)))
+    moved = generate_design(Window(i0, i0 + w, j0 + 4 * t, j0 + h + 4 * t),
+                            koch_pattern(order, ((a - 2 * t) % period, b, (c - 2 * t) % period)))
+    assert _moved_front(design, 0, 4 * t) == _moved_front(moved, 0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from isostitch import (DEFAULT_CONVENTION, EMPTY, PRESENCE_PARITY, Design, DirectionSpec,
                        SegmentId, StitchPattern, Window, WordError, dual, generate_design,
-                       is_line_present, lines_through, segment_between,
-                       segment_endpoints, vertex_degree_class)
-from stitch_rule import is_front, line_bit
+                       segment_between, segment_endpoints, vertex_degree_class)
+from stitch_rule import is_front, is_line_present, line_bit, lines_through
 from test_design_graph import convention
 
 spec_strategy = st.one_of(

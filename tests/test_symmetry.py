@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
-                       LatticeIsometry, LineId, OverlapTooSmallError, SegmentId,
+                       LatticeIsometry, OverlapTooSmallError, SegmentId,
                        StitchPattern, Window, classify_wallpaper, cli, dual,
-                       generate_design, is_line_present, is_self_dual,
-                       is_symmetry, period_cell, segment_between,
-                       segment_endpoints, symmetry, translation_basis)
+                       generate_design, is_self_dual, is_symmetry, period_cell,
+                       segment_between, segment_endpoints, stitcher,
+                       translation_basis)
 from isostitch.design_graph import _POINT_CODES
 from isostitch.grid import DIRECTIONS, point_directions
-from isostitch.symmetry import _row_shift_period, point_matrix
-from stitch_rule import is_front
+from isostitch.stitcher import _row_shift_period
+from isostitch.symmetry import point_matrix
+from stitch_rule import LineId, is_front, is_line_present
 
 
 def _design(word: str, half: int | None = None):
@@ -125,14 +126,14 @@ def test_analyze_derives_the_translation_lattice_once(tmp_path, monkeypatch):
     # One row-shift period per family for the whole command, however many
     # isometries the searches check on the design and on its dual.
     calls = []
-    period = symmetry._row_shift_period
+    period = stitcher._row_shift_period
 
     def counting(pattern, f):
         calls.append(f)
         return period(pattern, f)
 
     translation_basis.cache_clear()
-    monkeypatch.setattr(symmetry, "_row_shift_period", counting)
+    monkeypatch.setattr(stitcher, "_row_shift_period", counting)
     assert cli.main(["analyze", "--word-a", "01", "--word-b", "0", "--word-c", "0011",
                      "--phase-c", "1", "--window=-24:24:-24:24",
                      "--report", str(tmp_path / "r.json")]) == 0
