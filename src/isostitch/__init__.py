@@ -30,7 +30,7 @@ _EXPORTS = {
     "stitcher": ("Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
                  "period_cell", "translation_basis"),
     "symmetry": ("LatticeIsometry", "classify_wallpaper", "is_self_dual", "is_symmetry"),
-    "words": ("Word", "complement", "concat", "koch_word", "palindromic_period", "reverse"),
+    "words": ("complement", "koch_word", "palindromic_period", "parse_word"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -36,7 +36,7 @@ USAGE_ERROR, IO_ERROR, INCONCLUSIVE, NOT_FOUND = 2, 3, 4, 5
 def _spec_to_dict(spec: DirectionSpec) -> dict:
     out: dict = {"kind": spec.kind}
     if spec.kind == "periodic":
-        out["word"] = str(spec.word)
+        out["word"] = spec.word
     else:
         out["order"] = spec.order
     out["phase"] = spec.phase

@@ -28,7 +28,7 @@ from typing import Iterator
 from .errors import WordError
 from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
                    SegmentId, Window)
-from .words import Word, koch_word, palindromic_period
+from .words import koch_word, palindromic_period, parse_word
 
 PERIODIC = "periodic"
 KOCH = "koch"
@@ -45,15 +45,13 @@ class DirectionSpec:
     """
 
     kind: str
-    word: Word | None = None
+    word: str | None = None
     order: int | None = None
     phase: int = 0
 
     @classmethod
-    def periodic(cls, word: Word | str, phase: int = 0) -> "DirectionSpec":
-        if isinstance(word, str):
-            word = Word.parse(word)
-        if len(word) == 0:
+    def periodic(cls, word: str, phase: int = 0) -> "DirectionSpec":
+        if not parse_word(word):
             raise WordError("periodic direction needs a non-empty word")
         return cls(PERIODIC, word=word, phase=phase)
 
@@ -61,7 +59,7 @@ class DirectionSpec:
     def koch(cls, order: int, phase: int = 0) -> "DirectionSpec":
         return cls(KOCH, order=order, word=koch_word(order), phase=phase)
 
-    def bit_sequence(self) -> Word:
+    def bit_sequence(self) -> str:
         """The periodic bit sequence indexed by present-line ordinal."""
         if self.kind == PERIODIC:
             assert self.word is not None
@@ -87,9 +85,10 @@ class StitchPattern:
         sequence of length p."""
         spec = self.specs[family]
         seq = spec.bit_sequence()
+        p = len(seq)
         base, slope = self.convention.phase_base[family], self.convention.phase_slope[family]
-        return bytes((base + slope * m + seq.cyclic(m + spec.phase)) % 2
-                     for m in range(2 * len(seq)))
+        return bytes((base + slope * m + int(seq[(m + spec.phase) % p])) % 2
+                     for m in range(2 * p))
 
 
 def _row_shift_period(pattern: StitchPattern, f: int) -> int:

@@ -62,9 +62,6 @@ class LatticeIsometry:
     def matrix(self) -> Matrix:
         return point_matrix(self.rotation, self.reflect)
 
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        return _apply(self.matrix(), self.translation, v)
-
 
 def _invert(m: Matrix, t: tuple[int, int]) -> tuple[Matrix, tuple[int, int]]:
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]

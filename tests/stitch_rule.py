@@ -41,7 +41,8 @@ def present_line_ordinal(line: LineId) -> int:
 def line_bit(line: LineId, pattern: StitchPattern) -> int:
     spec = pattern.specs[line.family]
     m = present_line_ordinal(line)
-    return spec.bit_sequence().cyclic(m + spec.phase)
+    seq = spec.bit_sequence()
+    return int(seq[(m + spec.phase) % len(seq)])
 
 
 def is_front(seg: SegmentId, pattern: StitchPattern) -> bool:

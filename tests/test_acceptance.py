@@ -46,7 +46,7 @@ def _cli(*args):
 
 def test_criterion_1_word_recursion_exactness():
     t0 = time.perf_counter()
-    values_ok = [str(koch_word(n)) for n in (1, 2, 3)] == ["0", "110", "100001110"]
+    values_ok = [koch_word(n) for n in (1, 2, 3)] == ["0", "110", "100001110"]
     lengths_ok = all(len(koch_word(n)) == 3 ** (n - 1) for n in range(1, 9))
     elapsed = time.perf_counter() - t0
     ok = values_ok and lengths_ok and elapsed < 0.001

@@ -38,8 +38,8 @@ def test_row_bits_are_the_stitch_rule_rows(spec, conv, family):
 
 
 def test_direction_spec_kinds():
-    assert str(DirectionSpec.periodic("0110").bit_sequence()) == "0110"
-    assert str(DirectionSpec.koch(2).bit_sequence()) == "110011"
+    assert DirectionSpec.periodic("0110").bit_sequence() == "0110"
+    assert DirectionSpec.koch(2).bit_sequence() == "110011"
     with pytest.raises(WordError):
         DirectionSpec.periodic("")
 
