@@ -25,7 +25,7 @@ _EXPORTS = {
              "segment_endpoints", "vertex_degree_class", "vertex_to_cartesian"),
     "koch_oracle": ("KOCH_PHASES", "VerificationResult", "koch_directions", "koch_pattern",
                     "koch_polygon", "koch_window", "phase_candidates", "phase_period",
-                    "replace_runs", "scale_directions", "verify_koch"),
+                    "verify_koch"),
     "render": ("RenderOptions", "to_svg"),
     "stitcher": ("Design", "DirectionSpec", "StitchPattern", "dual", "generate_design",
                  "period_cell", "translation_basis"),

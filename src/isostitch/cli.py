@@ -34,13 +34,9 @@ USAGE_ERROR, IO_ERROR, INCONCLUSIVE, NOT_FOUND = 2, 3, 4, 5
 # ---------------------------------------------------------------- reports
 
 def _spec_to_dict(spec: DirectionSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.kind == "periodic":
-        out["word"] = spec.word
-    else:
-        out["order"] = spec.order
-    out["phase"] = spec.phase
-    return out
+    if spec.order is None:
+        return {"kind": "periodic", "word": spec.bits, "phase": spec.phase}
+    return {"kind": "koch", "order": spec.order, "phase": spec.phase}
 
 
 def _pattern_to_dict(p: StitchPattern) -> dict:
@@ -248,8 +244,7 @@ def cmd_render(args) -> int:
         if args.koch_order is None:
             raise WordError("--highlight-koch requires --koch-order")
         from .koch_oracle import verify_koch
-        res = verify_koch(args.koch_order, window, phase_search=False,
-                          phases=tuple(s.phase for s in pattern.specs))
+        res = verify_koch(args.koch_order, window, tuple(s.phase for s in pattern.specs))
         if res.matched_cycle is not None:
             opts = replace(opts, highlight=(res.matched_cycle,))
     payload = to_svg(design, opts)
@@ -266,13 +261,11 @@ def cmd_verify_koch(args) -> int:
     from .koch_oracle import koch_pattern, koch_window, phase_candidates, verify_koch
     if not 1 <= args.order <= 6:
         raise InvalidOrderError(f"--order must be in 1..6, got {args.order}")
-    if args.order >= 5 and not args.long_running:
-        raise InvalidOrderError(
-            f"order {args.order} search is long-running; pass --long-running to confirm")
     window = _parse_window(args.window) if args.window else koch_window(args.order)
-    phases = (0, args.phase_b, args.phase_c)
-    result = verify_koch(args.order, window, phase_search=args.phase_search,
-                         phases=phases)
+    phases = None
+    if args.phase_b is not None or args.phase_c is not None:
+        phases = (0, args.phase_b or 0, args.phase_c or 0)
+    result = verify_koch(args.order, window, phases)
     result_phases = tuple(result.phases[f] for f in range(3))
     if args.report:
         _write_json(args.report, _report(koch_pattern(args.order, result_phases), window,
@@ -283,7 +276,7 @@ def cmd_verify_koch(args) -> int:
         print(f"order {args.order}: found ({3 * 4 ** args.order} segments, "
               f"phases {phase_text})")
         return 0
-    if args.phase_search:
+    if phases is None:
         searched = f"searched {len(phase_candidates(args.order))} phase candidates"
     else:
         searched = f"tried phases {phase_text}"
@@ -377,14 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-koch", help="search a design for the snowflake iterate")
     v.add_argument("--order", type=int, required=True, help="iterate order, 1..6")
     v.add_argument("--window", help="lattice window as imin:imax:jmin:jmax")
-    v.add_argument("--phase-search", action=argparse.BooleanOptionalAction, default=True,
-                   help="scan relative word phases (default) or test fixed ones")
-    v.add_argument("--phase-b", type=int, default=0,
-                   help="fixed phase for direction B with --no-phase-search")
-    v.add_argument("--phase-c", type=int, default=0,
-                   help="fixed phase for direction C with --no-phase-search")
-    v.add_argument("--long-running", action="store_true",
-                   help="confirm searches of order 5 and up")
+    v.add_argument("--phase-b", type=int,
+                   help="test this phase for direction B (0 if only --phase-c is given) "
+                        "instead of searching")
+    v.add_argument("--phase-c", type=int,
+                   help="test this phase for direction C (0 if only --phase-b is given) "
+                        "instead of searching")
     v.add_argument("--report", help="optional JSON report path")
     v.set_defaults(func=cmd_verify_koch)
 

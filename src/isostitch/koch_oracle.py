@@ -1,11 +1,11 @@
 """Independent Koch snowflake construction and design verification.
 
-koch_polygon builds snowflake iterates by pure turtle geometry: an
-up-pointing triangle of side 3^order, then `order` rounds of the outward
-edge replacement (each straight run of length L becomes four runs of length
-L/3, bumping outward by 60 degrees). It never looks at words, stitch rules
-or the calibration, so a verification hit is genuine cross-validation: two
-unrelated constructions producing the same cycle.
+koch_polygon builds snowflake iterates by pure turtle geometry: the unit
+triangle's three steps, then `order` rounds of the unit-step substitution
+that replaces each step by four, the middle two bumping outward by 60
+degrees. It never looks at words, stitch rules or the calibration, so a
+verification hit is genuine cross-validation: two unrelated constructions
+producing the same cycle.
 
 verify_koch stitches the order-n word in all three directions and asks
 whether some front cycle is the order-n polygon, up to lattice isometry. It
@@ -35,57 +35,25 @@ from .stitcher import Design, DirectionSpec, StitchPattern, generate_design, per
 KOCH_PHASES = (0, 0, 1)
 
 
-def _replaced_side(direction: int, depth: int) -> list[int]:
-    if depth == 0:
-        return [direction]
-    run = _replaced_side(direction, depth - 1)
-    return (run + _replaced_side((direction + 5) % 6, depth - 1)
-            + _replaced_side((direction + 1) % 6, depth - 1) + run)
-
-
 def koch_directions(order: int) -> list[int]:
     """Unit-step direction indices tracing the order-k snowflake
-    counterclockwise from the origin."""
-    out: list[int] = []
-    for d in (0, 2, 4):
-        out += _replaced_side(d, order)
-    return out
+    counterclockwise from the origin: the triangle (0, 2, 4) with every
+    step d replaced `order` times by the four steps d, d - 1, d + 1, d
+    (mod 6), whose middle two bump outward by 60 degrees."""
+    dirs = [0, 2, 4]
+    for _ in range(order):
+        dirs = [e for d in dirs for e in (d, (d + 5) % 6, (d + 1) % 6, d)]
+    return dirs
 
 
-def scale_directions(dirs: list[int], factor: int = 3) -> list[int]:
-    """The same polygon with every edge stretched by an integer factor."""
-    out: list[int] = []
-    for d in dirs:
-        out += [d] * factor
-    return out
-
-
-def replace_runs(dirs: list[int]) -> list[int]:
-    """One outward Koch replacement applied to every maximal straight run.
-    Run lengths must be divisible by 3."""
-    out: list[int] = []
-    i = 0
-    while i < len(dirs):
-        j = i
-        while j < len(dirs) and dirs[j] == dirs[i]:
-            j += 1
-        length = j - i
-        if length % 3:
-            raise ValueError(f"run of length {length} is not divisible by 3")
-        d, third = dirs[i], length // 3
-        out += [d] * third + [(d + 5) % 6] * third + [(d + 1) % 6] * third + [d] * third
-        i = j
-    return out
-
-
-def directions_to_vertices(dirs: list[int],
-                           start: tuple[int, int] = (0, 0)) -> list[tuple[int, int]]:
-    """Accumulate unit steps into a closed vertex list (closure asserted)."""
-    vs = [start]
+def directions_to_vertices(dirs: list[int]) -> list[tuple[int, int]]:
+    """Accumulate unit steps from the origin into a closed vertex list
+    (closure asserted)."""
+    vs = [(0, 0)]
     for d in dirs:
         di, dj = DIRECTIONS[d]
         vs.append((vs[-1][0] + di, vs[-1][1] + dj))
-    if vs[-1] != start:
+    if vs[-1] != (0, 0):
         raise AssertionError("direction word does not close up")
     return vs[:-1]
 
@@ -103,9 +71,7 @@ def koch_polygon(order: int) -> Cycle:
     dirs = koch_directions(order)
     assert len(dirs) == 3 * 4 ** order
     vs = directions_to_vertices(dirs)
-    side = 3 ** order
-    base_end = vs[4 ** order] if order else vs[1]
-    assert base_end == (side, 0), "base side must span 3**order"
+    assert vs[4 ** order] == (3 ** order, 0), "base side must span 3**order"
     return Cycle.from_vertices(vs)
 
 
@@ -204,7 +170,7 @@ def _confirm(hit: Cycle, polygon: Cycle, pattern: StitchPattern) -> None:
 def phase_period(order: int) -> int:
     """Period of the order-n palindromic word sequence, hence the number of
     distinct phases per family."""
-    return len(DirectionSpec.koch(order).bit_sequence())
+    return len(DirectionSpec.koch(order).bits)
 
 
 def phase_candidates(order: int) -> list[tuple[int, int, int]]:
@@ -218,17 +184,17 @@ def phase_candidates(order: int) -> list[tuple[int, int, int]]:
     return [(0, b, c) for b in (0, 1) for c in range(phase_period(order))]
 
 
-def verify_koch(order: int, window: Window, phase_search: bool = True,
-                phases: tuple[int, int, int] = (0, 0, 0)) -> VerificationResult:
+def verify_koch(order: int, window: Window,
+                phases: tuple[int, int, int] | None = None) -> VerificationResult:
     """Does the order-n word design contain the order-n snowflake?
 
     The order-n word is stitched in all three directions (palindromic
-    repetition). With phase_search the relative word alignments for families
-    B and C are scanned in lexicographic order, family A fixed at phase 0,
-    and the first success wins; otherwise only the given phases (default all
-    zero) are tried. A match is a front cycle congruent to the polygon,
-    i.e. equal to it up to lattice isometry. found=False is a result, not an
-    error.
+    repetition). Given phases, only that design is tried. Without them the
+    relative word alignments for families B and C are scanned in
+    lexicographic order, family A fixed at phase 0, and the first success
+    wins; a scan that finds nothing reports phases (0, 0, 0). A match is a
+    front cycle congruent to the polygon, i.e. equal to it up to lattice
+    isometry. found=False is a result, not an error.
 
     Within one design the placement search returns the congruent front
     cycle with the least least-vertex, the first that a walk over
@@ -284,13 +250,10 @@ def verify_koch(order: int, window: Window, phase_search: bool = True,
             f"({box.i_count}x{box.j_count}) with a {cell} period cell of margin")
 
     image = Cycle((0, 0), polygon.codes)
-    hit = None
-    for cand in phase_candidates(order) if phase_search else [phases]:
+    for cand in phase_candidates(order) if phases is None else [phases]:
         pattern = koch_pattern(order, cand)
         hit = _find_polygon(generate_design(window, pattern), image)
         if hit is not None:
             _confirm(hit, polygon, pattern)
-            phases = cand
-            break
-    return VerificationResult(found=hit is not None, phases=dict(enumerate(phases)),
-                              matched_cycle=hit)
+            return VerificationResult(True, dict(enumerate(cand)), hit)
+    return VerificationResult(False, dict(enumerate(phases or (0, 0, 0))), None)

@@ -30,42 +30,30 @@ from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
                    SegmentId, Window)
 from .words import koch_word, palindromic_period, parse_word
 
-PERIODIC = "periodic"
-KOCH = "koch"
-
 
 @dataclass(frozen=True)
 class DirectionSpec:
-    """Offset bits for the present lines of one family.
+    """Offset bits for the present lines of one family: the line with
+    ordinal m gets bits[(m + phase) mod len(bits)].
 
-    kind "periodic": line with ordinal m gets word[(m + phase) mod len].
-    kind "koch": periodic with word = koch_word(order) followed by its
-    reversal, the sequence actually stitched when working the word forwards
-    and backwards.
+    periodic(word) stitches the word itself. koch(n) stitches koch_word(n)
+    followed by its reversal, the sequence actually stitched when working
+    the word forwards and backwards, and records n as order.
     """
 
-    kind: str
-    word: str | None = None
-    order: int | None = None
+    bits: str
     phase: int = 0
+    order: int | None = None
 
     @classmethod
     def periodic(cls, word: str, phase: int = 0) -> "DirectionSpec":
         if not parse_word(word):
             raise WordError("periodic direction needs a non-empty word")
-        return cls(PERIODIC, word=word, phase=phase)
+        return cls(word, phase)
 
     @classmethod
     def koch(cls, order: int, phase: int = 0) -> "DirectionSpec":
-        return cls(KOCH, order=order, word=koch_word(order), phase=phase)
-
-    def bit_sequence(self) -> str:
-        """The periodic bit sequence indexed by present-line ordinal."""
-        if self.kind == PERIODIC:
-            assert self.word is not None
-            return self.word
-        assert self.kind == KOCH and self.word is not None
-        return palindromic_period(self.word)
+        return cls(palindromic_period(koch_word(order)), phase, order)
 
 
 @dataclass(frozen=True)
@@ -84,7 +72,7 @@ class StitchPattern:
         bit(m + phase)) mod 2. They repeat after 2p ordinals for a bit
         sequence of length p."""
         spec = self.specs[family]
-        seq = spec.bit_sequence()
+        seq = spec.bits
         p = len(seq)
         base, slope = self.convention.phase_base[family], self.convention.phase_slope[family]
         return bytes((base + slope * m + int(seq[(m + spec.phase) % p])) % 2

@@ -41,8 +41,7 @@ def present_line_ordinal(line: LineId) -> int:
 def line_bit(line: LineId, pattern: StitchPattern) -> int:
     spec = pattern.specs[line.family]
     m = present_line_ordinal(line)
-    seq = spec.bit_sequence()
-    return int(seq[(m + spec.phase) % len(seq)])
+    return int(spec.bits[(m + spec.phase) % len(spec.bits)])
 
 
 def is_front(seg: SegmentId, pattern: StitchPattern) -> bool:

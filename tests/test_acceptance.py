@@ -15,10 +15,10 @@ import pytest
 from isostitch import (DirectionSpec, StitchPattern, Window, classify_wallpaper,
                        dual, generate_design, is_self_dual, is_symmetry,
                        koch_directions, koch_polygon, koch_word, motif_census,
-                       motif_signature, period_cell, replace_runs,
-                       scale_directions, segment_endpoints, vertex_degree_class,
-                       verify_koch)
+                       motif_signature, period_cell, segment_endpoints,
+                       vertex_degree_class, verify_koch)
 from isostitch.grid import EMPTY
+from koch_rule import replace_runs, scale_directions
 
 
 def _report(n, ok: bool, detail: str) -> None:
@@ -156,7 +156,8 @@ def _verify_window(order: int) -> Window:
 def test_criterion_6_koch_verification_default_orders():
     t0 = time.perf_counter()
     found = {n: verify_koch(n, _verify_window(n)).found for n in (1, 2, 3)}
-    exit_code = _cli("verify-koch", "--order", "2", "--no-phase-search").returncode
+    exit_code = _cli("verify-koch", "--order", "2", "--phase-b", "0",
+                     "--phase-c", "0").returncode
     elapsed = time.perf_counter() - t0
     ok = all(found.values()) and exit_code == 5 and elapsed < 120
     _report(6, ok, f"orders 1-3 found={found}, refutation exit code={exit_code} "

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -208,27 +210,46 @@ def test_verify_koch_found_and_report(tmp_path):
 
 
 def test_verify_koch_not_found_exits_5(monkeypatch, capsys):
-    proc = run_cli("verify-koch", "--order", "2", "--no-phase-search")
+    proc = run_cli("verify-koch", "--order", "2", "--phase-b", "0", "--phase-c", "0")
     assert proc.returncode == 5
     assert proc.stdout == "order 2: not found (tried phases 0,0,0)\n"
     # A full search that misses names how many phase triples it tried:
     # (0, b, c) for b in (0, 1) and c over the order-2 word period of 6.
-    monkeypatch.setattr(koch_oracle, "verify_koch", lambda order, window, phase_search, phases:
-                        VerificationResult(False, dict(enumerate(phases)), None))
+    monkeypatch.setattr(koch_oracle, "verify_koch", lambda order, window, phases:
+                        VerificationResult(False, dict(enumerate(phases or (0, 0, 0))), None))
     assert cli.main(["verify-koch", "--order", "2"]) == 5
     assert capsys.readouterr().out == "order 2: not found (searched 12 phase candidates)\n"
 
 
 def test_verify_koch_fixed_phases():
-    proc = run_cli("verify-koch", "--order", "2", "--no-phase-search",
-                   "--phase-c", "1")
+    proc = run_cli("verify-koch", "--order", "2", "--phase-c", "1")
     assert proc.returncode == 0
+
+
+def test_verify_koch_tests_given_phases_only(tmp_path):
+    # The search finds the order-2 snowflake at (0, 0, 1); given phases are
+    # tried alone, and the report names them.
+    report = tmp_path / "k.json"
+    proc = run_cli("verify-koch", "--order", "2", "--phase-b", "1", "--phase-c", "3",
+                   "--report", str(report))
+    assert proc.returncode == 5
+    assert proc.stdout == "order 2: not found (tried phases 0,1,3)\n"
+    assert json.loads(report.read_text())["koch"]["phases"] == {"A": 0, "B": 1, "C": 3}
+    proc = run_cli("verify-koch", "--order", "2", "--phase-b", "1")
+    assert proc.stdout == "order 2: not found (tried phases 0,1,0)\n"
+
+
+def test_verify_koch_order_five_needs_no_flag():
+    proc = run_cli("verify-koch", "--order", "5")
+    assert proc.returncode == 0
+    assert proc.stdout == "order 5: found (3072 segments, phases 0,0,1)\n"
 
 
 def test_verify_koch_usage_errors():
     assert run_cli("verify-koch", "--order", "0").returncode == 2
     assert run_cli("verify-koch", "--order", "7").returncode == 2
-    assert run_cli("verify-koch", "--order", "5").returncode == 2
+    for removed in ("--long-running", "--no-phase-search", "--phase-search"):
+        assert run_cli("verify-koch", "--order", "1", removed).returncode == 2
 
 
 def test_verify_koch_report_is_reproducible(tmp_path):
@@ -305,6 +326,24 @@ def test_verify_koch_loads_neither_render_nor_symmetry(tmp_path):
     assert not loaded & {"isostitch.render", "isostitch.symmetry", "fractions", "decimal"}
 
 
+# The README's start-up table: the modules each command loads besides the
+# package, cli and errors.
+@pytest.mark.parametrize("args, modules", [
+    (["render", "--word", "01", "--window", "0:5:0:5", "--out", "r.svg"],
+     {"render", "design_graph", "stitcher", "grid", "words"}),
+    (["analyze", "--word", "01", "--window", "0:5:0:5", "--report", "r.json"],
+     {"symmetry", "design_graph", "stitcher", "grid", "words"}),
+    (["calibrate"], {"symmetry", "koch_oracle", "design_graph", "stitcher", "grid", "words"}),
+    (["verify-koch", "--order", "1"], {"koch_oracle", "design_graph", "stitcher", "grid", "words"}),
+    (["render", "--koch-order", "1", "--out", "r.svg"],
+     {"render", "koch_oracle", "design_graph", "stitcher", "grid", "words"}),
+], ids=["render", "analyze", "calibrate", "verify-koch", "render-koch-order"])
+def test_each_subcommand_loads_the_modules_of_the_readme_table(tmp_path, args, modules):
+    loaded = {m for m in _modules_loaded_by(*args, cwd=tmp_path) if m.split(".")[0] == "isostitch"}
+    assert loaded == {"isostitch", "isostitch.cli", "isostitch.errors",
+                      *(f"isostitch.{m}" for m in modules)}
+
+
 @pytest.mark.parametrize("args", [
     ["verify-koch", "--order", "1"],
     ["analyze", "--word", "01", "--window", "0:5:0:5", "--report", "r.json"],
@@ -328,6 +367,18 @@ def test_per_layer_tracer_installs_after_any_in_process_subcommand(tmp_path, arg
 
 def test_calibrate_is_reproducible():
     assert run_cli("calibrate").stdout == run_cli("calibrate").stdout
+
+
+def test_readme_command_examples_run(tmp_path):
+    # Every `isostitch ...` line of the README's sh blocks, so a removed flag
+    # cannot linger in the docs.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [line for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+                for line in block.splitlines() if line.startswith("isostitch ")]
+    assert len(examples) >= 7
+    for line in examples:
+        proc = run_cli(*shlex.split(line)[1:], cwd=tmp_path)
+        assert proc.returncode == 0, (line, proc.stderr)
 
 
 def test_koch_render_after_verify(tmp_path):

@@ -297,7 +297,7 @@ def test_complementing_every_word_stitches_the_dual(specs, i0, j0, w, h):
     # Flipping every offset bit flips every row parity, under each of the 64
     # conventions, so each side's stitches become the other side's.
     window = Window(i0, i0 + w, j0, j0 + h)
-    complemented = tuple(DirectionSpec.periodic(complement(s.word), phase=s.phase)
+    complemented = tuple(DirectionSpec.periodic(complement(s.bits), phase=s.phase)
                          for s in specs)
     for base, slope in product(product((0, 1), repeat=3), repeat=2):
         conv = GridConvention(phase_base=base, phase_slope=slope)

@@ -11,9 +11,9 @@ from isostitch import koch_oracle
 from isostitch import (Cycle, InvalidOrderError, StitchPattern, Window, WindowError,
                        build_components, generate_design, koch_directions,
                        koch_pattern, koch_polygon, motif_signature, period_cell,
-                       replace_runs, scale_directions, segment_endpoints,
-                       verify_koch)
+                       segment_endpoints, verify_koch)
 from isostitch.grid import DIRECTION_INDEX
+from koch_rule import replace_runs, scale_directions
 from test_design_graph import _CHIRAL, convention, mixed_spec
 
 
@@ -47,7 +47,10 @@ def test_negative_order_rejected():
 
 
 def test_scale_then_replace_reproduces_the_next_iterate():
-    for k in range(4):
+    # From the same triangle, the run-by-run replacement reproduces the
+    # unit-step substitution up to order 6.
+    assert koch_directions(0) == [0, 2, 4]
+    for k in range(6):
         scaled = scale_directions(koch_directions(k))
         assert replace_runs(scaled) == koch_directions(k + 1)
 
@@ -177,7 +180,7 @@ def test_moving_design_abc_by_0_4t_gives_design_a_minus_2t_b_c_minus_2t(order, d
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_placement_search_agrees_with_the_walk_at_every_phase_pair(order):
     for (b, c), hit in _walk_hits(order).items():
-        res = verify_koch(order, _window(order), phase_search=False, phases=(0, b, c))
+        res = verify_koch(order, _window(order), (0, b, c))
         assert res.found == (hit is not None)
         assert res.matched_cycle == hit
 
@@ -200,7 +203,7 @@ def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_
     # the Koch phases, at which the polygon is found, or any phases
     phases = data.draw(st.one_of(st.just(koch_oracle.KOCH_PHASES),
                                  st.tuples(*[st.integers(0, period - 1)] * 3)))
-    res = verify_koch(order, window, phase_search=False, phases=phases)
+    res = verify_koch(order, window, phases)
     hit = _walk_search(order, window, phases)
     assert res.found == (hit is not None)
     assert res.matched_cycle == hit
@@ -298,14 +301,21 @@ def test_verify_order_four_peaks_at_a_few_bytes_per_window_vertex():
 
 
 def test_verify_without_search_reports_not_found_at_zero_phases():
-    res = verify_koch(2, _window(2), phase_search=False)
+    res = verify_koch(2, _window(2), (0, 0, 0))
     assert not res.found
+    assert res.phases == {0: 0, 1: 0, 2: 0}
     assert res.matched_cycle is None
 
 
 def test_verify_without_search_succeeds_at_recorded_phases():
-    res = verify_koch(2, _window(2), phase_search=False, phases=(0, 0, 1))
+    res = verify_koch(2, _window(2), (0, 0, 1))
     assert res.found
+
+
+def test_verify_search_that_misses_reports_zero_phases(monkeypatch):
+    monkeypatch.setattr(koch_oracle, "_find_polygon", lambda design, image: None)
+    res = verify_koch(1, _window(1))
+    assert (res.found, res.phases, res.matched_cycle) == (False, {0: 0, 1: 0, 2: 0}, None)
 
 
 def test_verify_rejects_too_small_window():

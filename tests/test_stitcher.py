@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from isostitch import (DEFAULT_CONVENTION, EMPTY, PRESENCE_PARITY, Design, DirectionSpec,
                        SegmentId, StitchPattern, Window, WordError, dual, generate_design,
-                       segment_between, segment_endpoints, vertex_degree_class)
+                       koch_word, palindromic_period, segment_between, segment_endpoints,
+                       vertex_degree_class)
 from stitch_rule import is_front, is_line_present, line_bit, lines_through
 from test_design_graph import convention
 
@@ -31,15 +32,20 @@ def test_row_bits_are_the_stitch_rule_rows(spec, conv, family):
     # front for 1, and one period of rows covers every ordinal
     pattern = StitchPattern.uniform(spec, conv)
     bits = pattern.row_bits(family)
-    assert len(bits) == 2 * len(spec.bit_sequence())
+    assert len(bits) == 2 * len(spec.bits)
     for m in range(-len(bits), 2 * len(bits)):
         seg = SegmentId(family, 2 * m + PRESENCE_PARITY[family], 0)
         assert bits[m % len(bits)] == is_front(seg, pattern)
 
 
 def test_direction_spec_kinds():
-    assert DirectionSpec.periodic("0110").bit_sequence() == "0110"
-    assert DirectionSpec.koch(2).bit_sequence() == "110011"
+    assert DirectionSpec.periodic("0110").bits == "0110"
+    assert DirectionSpec.koch(2).bits == "110011"
+    # a spec holds the bits it stitches; the report tells a Koch spec by its order
+    assert DirectionSpec.periodic("0110", phase=2) == DirectionSpec("0110", 2, None)
+    for n in range(1, 6):
+        spec = DirectionSpec.koch(n, phase=3)
+        assert (spec.bits, spec.phase, spec.order) == (palindromic_period(koch_word(n)), 3, n)
     with pytest.raises(WordError):
         DirectionSpec.periodic("")
 

@@ -95,7 +95,7 @@ def test_translation_lattice_from_word_periods():
 def _reference_row_shift_period(pattern: StitchPattern, f: int) -> int:
     """The row-shift period by search: the least d with bit(m + d) equal to
     bit(m) xor (slope * d mod 2) for every m."""
-    seq = pattern.specs[f].bit_sequence()
+    seq = pattern.specs[f].bits
     slope = pattern.convention.phase_slope[f]
     p = len(seq)
     for d in range(1, 2 * p + 1):
