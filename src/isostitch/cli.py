@@ -243,10 +243,10 @@ def cmd_render(args) -> int:
     if args.highlight_koch:
         if args.koch_order is None:
             raise WordError("--highlight-koch requires --koch-order")
-        from .koch_oracle import verify_koch
-        res = verify_koch(args.koch_order, window, tuple(s.phase for s in pattern.specs))
-        if res.matched_cycle is not None:
-            opts = replace(opts, highlight=(res.matched_cycle,))
+        from .koch_oracle import find_koch, koch_polygon
+        hit = find_koch(design, koch_polygon(args.koch_order))
+        if hit is not None:
+            opts = replace(opts, highlight=(hit,))
     payload = to_svg(design, opts)
     with open(args.out, "wb") as fh:
         fh.write(payload)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .grid import DIRECTION_INDEX, DIRECTIONS, Family, point_directions
 from .stitcher import Design
@@ -30,22 +29,16 @@ def _steps(j_count: int) -> tuple[int, ...]:
     return (0,) + tuple(di * j_count + dj for di, dj in DIRECTIONS)
 
 
-def _canonical(codes: bytes) -> tuple[int, bytes]:
-    """Canonical form of the closed walk that steps by codes from some
-    vertex: the index of its least vertex (vertex k is reached after k
-    steps), and the codes from there toward that vertex's lesser neighbour.
-
-    The walk must visit each vertex once. Its vertices are ranked by running
-    sums of _steps(2n + 1): coordinates stay within n of the first vertex,
-    so i * (2n + 1) + j orders them as (i, j) does.
-    """
-    n = len(codes)
-    keys = list(accumulate(map(_steps(2 * n + 1).__getitem__, codes[:-1]), initial=0))
-    least = keys.index(min(keys))
-    codes = codes[least:] + codes[:least]
-    if keys[least - 1] < keys[(least + 1) % n]:
-        codes = codes[::-1].translate(_REVERSE)
-    return least, codes
+def walk_vertices(start: tuple[int, int], codes: bytes) -> tuple[tuple[int, int], ...]:
+    """The vertices of the walk that steps by codes from start: start, then
+    the vertex each step reaches."""
+    i, j = start
+    out = [start]
+    for code in codes:
+        di, dj = DIRECTIONS[code - 1]
+        i, j = i + di, j + dj
+        out.append((i, j))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,17 +58,12 @@ class Cycle:
     def vertices(self) -> tuple[tuple[int, int], ...]:
         """The vertices in canonical order, each a neighbor of the next and
         the last a neighbor of the first."""
-        i, j = self.start
-        out = [self.start]
-        for code in self.codes[:-1]:
-            di, dj = DIRECTIONS[code - 1]
-            i, j = i + di, j + dj
-            out.append((i, j))
-        return tuple(out)
+        return walk_vertices(self.start, self.codes[:-1])
 
     @classmethod
     def from_vertices(cls, verts: list[tuple[int, int]]) -> "Cycle":
-        """The cycle through verts in order (any rotation, either way round).
+        """The cycle through verts in order (any rotation, either way round),
+        read from its least vertex toward that vertex's lesser neighbour.
         Raises ValueError unless the vertices are distinct and each, the
         last included, is a unit lattice step from the previous one."""
         n = len(verts)
@@ -89,8 +77,11 @@ class Cycle:
             if d is None:
                 raise ValueError(f"{tuple(a)} to {tuple(b)} is not a unit lattice step")
             codes.append(d + 1)
-        start, canonical = _canonical(bytes(codes))
-        return cls(tuple(verts[start]), canonical)
+        least = verts.index(min(verts))
+        codes = codes[least:] + codes[:least]
+        if verts[least - 1] < verts[(least + 1) % n]:
+            codes = codes[::-1].translate(_REVERSE)
+        return cls(tuple(verts[least]), bytes(codes))
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
     return one, two
 
 
-def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], ...]]]:
+def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], bytes]]]:
     """Decompose one side into cycles and open paths.
 
     Stitch graphs have maximum degree 2, so every component is a simple path
@@ -157,8 +148,10 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     per-vertex direction codes of direction_slots. A walk steps idx +=
     step[code] and leaves each vertex by the slot that is not the reverse of
     the code it arrived by, and keeps the codes it steps by: a closed walk's
-    codes are its Cycle's. The empty vertices (i and j both odd) start out
-    seen, and the scan jumps to the next unseen vertex with bytearray.find.
+    codes are its Cycle's, and an open path is (start, codes) too, its
+    vertices walk_vertices(start, codes). The empty vertices (i and j both
+    odd) start out seen, and the scan jumps to the next unseen vertex with
+    bytearray.find.
 
     Deterministic: cycles are listed by least vertex, each starting there
     and proceeding toward its lesser neighbor (Cycle's canonical form);
@@ -179,16 +172,14 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             v = (i - win.i_min) * j_count + j_odd - win.j_min
             seen[v:v + 2 * len(mark) - 1:2] = mark
 
-    i_vals = list(range(win.i_min, win.i_max + 1))
-    j_vals = list(range(win.j_min, win.j_max + 1))
+    def point(v: int) -> tuple[int, int]:
+        i, j = divmod(v, j_count)
+        return win.i_min + i, win.j_min + j
 
-    def points(idxs: list[int]) -> tuple[tuple[int, int], ...]:
-        return tuple([(i_vals[v // j_count], j_vals[v % j_count]) for v in idxs])
-
-    def walk(start: int, code: int) -> tuple[bytearray, bool]:
+    def walk(start: int, code: int) -> tuple[bytearray, int]:
         """Follow the stitches from start, leaving it by code; returns the
-        codes of the steps taken and whether the walk closed back onto
-        start."""
+        codes of the steps taken and the index where the walk stopped,
+        start itself when it closed."""
         codes = bytearray((code,))
         cur = start + step[code]
         while cur != start:
@@ -198,20 +189,13 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             if code == back:
                 code = two[cur]
             if not code:
-                return codes, False
+                break
             codes.append(code)
             cur += step[code]
-        return codes, True
-
-    def trail(start: int, codes: bytearray) -> list[int]:
-        """The vertices an open walk from start visits."""
-        out = [start]
-        for code in codes:
-            out.append(out[-1] + step[code])
-        return out
+        return codes, cur
 
     cycles: list[Cycle] = []
-    paths: list[tuple[tuple[int, int], ...]] = []
+    paths: list[tuple[tuple[int, int], bytes]] = []
     v = seen.find(0)
     while v >= 0:
         seen[v] = 1
@@ -221,16 +205,16 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
             first, other = other, first
         if first:
             # v is the least vertex of its component: every lesser one was seen
-            codes, closed = walk(v, first)
-            if closed:
-                cycles.append(Cycle((i_vals[v // j_count], j_vals[v % j_count]), bytes(codes)))
+            codes, end = walk(v, first)
+            if end == v:
+                cycles.append(Cycle(point(v), bytes(codes)))
             else:
-                verts = trail(v, codes)
-                if other:
-                    verts = trail(v, walk(v, other)[0])[:0:-1] + verts
-                if verts[0] > verts[-1]:
-                    verts.reverse()
-                paths.append(points(verts))
+                # splice in, reversed, the half of the path behind v if any
+                back, start = walk(v, other) if other else (b"", v)
+                codes = back[::-1].translate(_REVERSE) + codes
+                if start > end:
+                    start, codes = end, codes[::-1].translate(_REVERSE)
+                paths.append((point(start), bytes(codes)))
         v = seen.find(0, v + 1)
     paths.sort()
     return cycles, paths

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design_graph import Cycle, build_components, direction_slots, motif_signature
+from .design_graph import (Cycle, build_components, direction_slots, motif_signature,
+                           walk_vertices)
 from .errors import InvalidOrderError, WindowError
-from .grid import DIRECTIONS, Window
+from .grid import Window
 from .stitcher import Design, DirectionSpec, StitchPattern, generate_design, period_cell
 
 # Relative word phases under which the snowflake verification succeeds;
@@ -49,13 +50,10 @@ def koch_directions(order: int) -> list[int]:
 def directions_to_vertices(dirs: list[int]) -> list[tuple[int, int]]:
     """Accumulate unit steps from the origin into a closed vertex list
     (closure asserted)."""
-    vs = [(0, 0)]
-    for d in dirs:
-        di, dj = DIRECTIONS[d]
-        vs.append((vs[-1][0] + di, vs[-1][1] + dj))
+    vs = walk_vertices((0, 0), bytes(d + 1 for d in dirs))
     if vs[-1] != (0, 0):
         raise AssertionError("direction word does not close up")
-    return vs[:-1]
+    return list(vs[:-1])
 
 
 def koch_polygon(order: int) -> Cycle:
@@ -157,14 +155,20 @@ def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
     return None
 
 
-def _confirm(hit: Cycle, polygon: Cycle, pattern: StitchPattern) -> None:
-    """Re-find the hit by the component walk on its bounding window, and
-    match its shape to the polygon's by motif signature."""
-    cycles, _ = build_components(generate_design(_box(hit), pattern), side="front")
+def find_koch(design: Design, polygon: Cycle) -> Cycle | None:
+    """The front cycle of the design that is a translate of the polygon,
+    the one with the least least-vertex, or None. A hit is re-found by the
+    component walk on its bounding window, and its shape matched to the
+    polygon's by motif signature, before it is returned."""
+    hit = _find_polygon(design, Cycle((0, 0), polygon.codes))
+    if hit is None:
+        return None
+    cycles, _ = build_components(generate_design(_box(hit), design.pattern), side="front")
     if hit not in cycles:
         raise AssertionError(f"placement search hit at {hit.start} is not a front cycle")
     if motif_signature(hit) != motif_signature(polygon):
         raise AssertionError(f"placement search hit at {hit.start} is not the polygon's shape")
+    return hit
 
 
 def phase_period(order: int) -> int:
@@ -196,9 +200,9 @@ def verify_koch(order: int, window: Window,
     front cycle congruent to the polygon, i.e. equal to it up to lattice
     isometry. found=False is a result, not an error.
 
-    Within one design the placement search returns the congruent front
-    cycle with the least least-vertex, the first that a walk over
-    build_components' cycles, which are listed by least vertex, would meet:
+    Within one design find_koch returns the congruent front cycle with the
+    least least-vertex, the first that a walk over build_components'
+    cycles, which are listed by least vertex, would meet:
     - A congruent cycle is the image of the polygon under some lattice
       isometry, a point symmetry followed by a translation. Every iterate
       of order >= 1 has the lattice's full six-fold dihedral symmetry, so
@@ -249,11 +253,8 @@ def verify_koch(order: int, window: Window,
             f"window {window} cannot hold an order-{order} polygon "
             f"({box.i_count}x{box.j_count}) with a {cell} period cell of margin")
 
-    image = Cycle((0, 0), polygon.codes)
     for cand in phase_candidates(order) if phases is None else [phases]:
-        pattern = koch_pattern(order, cand)
-        hit = _find_polygon(generate_design(window, pattern), image)
+        hit = find_koch(generate_design(window, koch_pattern(order, cand)), polygon)
         if hit is not None:
-            _confirm(hit, polygon, pattern)
             return VerificationResult(True, dict(enumerate(cand)), hit)
     return VerificationResult(False, dict(enumerate(phases or (0, 0, 0))), None)

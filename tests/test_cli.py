@@ -375,7 +375,7 @@ def test_readme_command_examples_run(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = [line for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
                 for line in block.splitlines() if line.startswith("isostitch ")]
-    assert len(examples) >= 7
+    assert len(examples) >= 8
     for line in examples:
         proc = run_cli(*shlex.split(line)[1:], cwd=tmp_path)
         assert proc.returncode == 0, (line, proc.stderr)
@@ -386,4 +386,14 @@ def test_koch_render_after_verify(tmp_path):
     proc = run_cli("render", "--koch-order", "2", "--side", "front",
                    "--highlight-koch", "--out", str(out))
     assert proc.returncode == 0
+    assert out.read_text().count("<polygon") == 1
+
+
+def test_koch_render_highlights_in_a_window_without_a_period_cell_of_margin(tmp_path):
+    # The 21x21 window holds the order-2 snowflake, at (5, 14), but not the
+    # period cell of margin that verify-koch's phase search asks for.
+    out = tmp_path / "k2.svg"
+    proc = run_cli("render", "--koch-order", "2", "--highlight-koch",
+                   "--window", "0:20:0:20", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
     assert out.read_text().count("<polygon") == 1

@@ -257,8 +257,9 @@ def test_every_iterate_of_order_one_up_is_its_only_point_image():
 
 @pytest.mark.parametrize("cycle", [koch_polygon(k) for k in range(6)] + [_CHIRAL])
 def test_point_images_match_the_vertex_list_reference(cycle):
-    # Cycle.from_vertices puts each image in canonical form by running sums
-    # of index offsets, the reference by comparing vertex tuples.
+    # Cycle.from_vertices puts each image in canonical form by rotating and
+    # reversing its step codes, the reference by re-walking its vertex list
+    # from the least vertex.
     for verts in _point_image_walks(cycle):
         assert Cycle.from_vertices(verts) == _reference_canonical(verts)
 
