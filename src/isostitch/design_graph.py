@@ -149,9 +149,9 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     step[code] and leaves each vertex by the slot that is not the reverse of
     the code it arrived by, and keeps the codes it steps by: a closed walk's
     codes are its Cycle's, and an open path is (start, codes) too, its
-    vertices walk_vertices(start, codes). The empty vertices (i and j both
-    odd) start out seen, and the scan jumps to the next unseen vertex with
-    bytearray.find.
+    vertices walk_vertices(start, codes). The scan jumps to the next unseen
+    vertex with bytearray.find; one with no stitch on this side, an empty
+    vertex among them, has no slot code and starts nothing.
 
     Deterministic: cycles are listed by least vertex, each starting there
     and proceeding toward its lesser neighbor (Cycle's canonical form);
@@ -165,12 +165,6 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     step = _steps(j_count)
 
     seen = bytearray(n)
-    i_odd, j_odd = win.i_min | 1, win.j_min | 1
-    if j_odd <= win.j_max:
-        mark = b"\x01" * ((win.j_max - j_odd) // 2 + 1)
-        for i in range(i_odd, win.i_max + 1, 2):
-            v = (i - win.i_min) * j_count + j_odd - win.j_min
-            seen[v:v + 2 * len(mark) - 1:2] = mark
 
     def point(v: int) -> tuple[int, int]:
         i, j = divmod(v, j_count)
@@ -198,7 +192,6 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     paths: list[tuple[tuple[int, int], bytes]] = []
     v = seen.find(0)
     while v >= 0:
-        seen[v] = 1
         first, other = one[v], two[v]
         # leave v toward its lesser neighbour, the one at the smaller offset
         if not first or (other and step[other] < step[first]):

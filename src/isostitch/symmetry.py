@@ -9,8 +9,9 @@ All symmetry claims are certified on a finite window: a candidate isometry g
 is accepted only if the stitched segments agree exactly with their g-images
 wherever both are visible, and only if that overlap is big enough to contain
 a full period cell of the design (otherwise the test would be vacuous and an
-OverlapTooSmallError is raised). Periodicity extends a certified patch
-symmetry to the whole plane.
+OverlapTooSmallError is raised). That guard is solved exactly, not searched:
+each condition on the cell's anchor bounds x, y or x + y (_overlap_has_cell).
+Periodicity extends a certified patch symmetry to the whole plane.
 
 The search uses exact integer and rational arithmetic, no floats. For a
 reflection M, the pure reflections are (M, k n), where n is the primitive
@@ -73,29 +74,26 @@ def _invert(m: Matrix, t: tuple[int, int]) -> tuple[Matrix, tuple[int, int]]:
 
 def _overlap_has_cell(win: Window, m: Matrix, t: tuple[int, int],
                       cell: tuple[int, int]) -> bool:
-    """Is there an integer-anchored period cell visible on both sides of g?"""
+    """Is there an integer-anchored period cell visible on both sides of g?
+
+    Each corner p + d of the cell at p = (x, y) and its image M(p + d) + t
+    must lie in the window. Every row of M is +-(1, 0), +-(0, 1) or +-(1, 1),
+    so each condition bounds one of x, y and x + y: an anchor exists exactly
+    when the x and y ranges are non-empty and x + y, which takes every
+    integer from xl + yl to xh + yh, can meet its own range."""
     ci, cj = cell
-
-    def fits(x: int, y: int) -> bool:
-        for dx, dy in ((0, 0), (ci, 0), (0, cj), (ci, cj)):
-            u = (x + dx, y + dy)
-            if not win.contains(u) or not win.contains(_apply(m, t, u)):
-                return False
-        return True
-
-    cx = (win.i_min + win.i_max) // 2
-    cy = (win.j_min + win.j_max) // 2
-    for ax in (cx - ci // 2, cx - ci // 2 - (t[0] + 1) // 2):
-        for ay in (cy - cj // 2, cy - cj // 2 - (t[1] + 1) // 2):
-            for dx in (0, -ci, ci):
-                for dy in (0, -cj, cj):
-                    if fits(ax + dx, ay + dy):
-                        return True
-    for x in range(win.i_min, win.i_max - ci + 1):
-        for y in range(win.j_min, win.j_max - cj + 1):
-            if fits(x, y):
-                return True
-    return False
+    # [low, high] of x, y and x + y, keyed by the row that forms each from p
+    bounds = {(1, 0): [win.i_min, win.i_max - ci], (0, 1): [win.j_min, win.j_max - cj],
+              (1, 1): [win.i_min + win.j_min, win.i_max - ci + win.j_max - cj]}
+    for row, shift, lo, hi in zip(m, t, (win.i_min, win.j_min), (win.i_max, win.j_max)):
+        # lo <= row . (p + d) + shift <= hi for every corner offset d
+        ends = (0, row[0] * ci, row[1] * cj, row[0] * ci + row[1] * cj)
+        low, high = lo - shift - min(ends), hi - shift - max(ends)
+        if row[0] + row[1] < 0:
+            row, low, high = (-row[0], -row[1]), -high, -low
+        bounds[row] = [max(bounds[row][0], low), min(bounds[row][1], high)]
+    (xl, xh), (yl, yh), (sl, sh) = bounds.values()
+    return xl <= xh and yl <= yh and max(sl, xl + yl) <= min(sh, xh + yh)
 
 
 def _segment_sets_match(source: frozenset[SegmentId], target: frozenset[SegmentId],
@@ -149,26 +147,23 @@ def _fixing(rotation: int, reflect: bool, c: tuple) -> LatticeIsometry | None:
     return LatticeIsometry(rotation, reflect, (int(tx), int(ty)), center=c)
 
 
-def _candidate_centers(cell: tuple[int, int], kinds: str, anchor: tuple[int, int]):
-    """Rotation-center candidates in one period cell near the anchor:
-    lattice vertices (v), edge midpoints (e), triangle barycenters (t).
-    Centers repeat modulo the translation lattice, so one cell anchored at
-    the window middle covers every class while keeping the certified overlap
-    inside the window."""
-    out = []
-    for i in range(anchor[0], anchor[0] + cell[0]):
-        for j in range(anchor[1], anchor[1] + cell[1]):
-            fi, fj = Fraction(i), Fraction(j)
-            if "v" in kinds:
-                out.append((fi, fj))
-            if "e" in kinds:
-                out.append((fi + Fraction(1, 2), fj))
-                out.append((fi, fj + Fraction(1, 2)))
-                out.append((fi + Fraction(1, 2), fj + Fraction(1, 2)))
-            if "t" in kinds:
-                out.append((fi + Fraction(1, 3), fj + Fraction(1, 3)))
-                out.append((fi + Fraction(2, 3), fj + Fraction(2, 3)))
-    return out
+# (rotation step, order, offsets of the points such a rotation can fix from
+# a lattice vertex): vertices for six-fold, vertices and triangle
+# barycenters for three-fold, vertices and edge midpoints for two-fold.
+_ROTATION_CENTERS = (
+    (1, 6, ((0, 0),)),
+    (2, 3, ((0, 0), (Fraction(1, 3),) * 2, (Fraction(2, 3),) * 2)),
+    (3, 2, ((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2),) * 2)))
+
+
+def _candidate_centers(cell: tuple[int, int], offsets: tuple, anchor: tuple[int, int]):
+    """Rotation-center candidates in one period cell near the anchor: each
+    vertex plus each offset, as Fractions. Centers repeat modulo the
+    translation lattice, so one cell anchored at the window middle covers
+    every class while keeping the certified overlap inside the window."""
+    return [(Fraction(i) + di, Fraction(j) + dj)
+            for i in range(anchor[0], anchor[0] + cell[0])
+            for j in range(anchor[1], anchor[1] + cell[1]) for di, dj in offsets]
 
 
 def _norm(v: tuple[int, int]) -> int:
@@ -197,9 +192,9 @@ class _Engine:
 
     def rotation_hits(self) -> tuple[int, list[LatticeIsometry]]:
         """Maximal rotation order and every verified center at that order."""
-        for step, order, kinds in ((1, 6, "v"), (2, 3, "vt"), (3, 2, "ve")):
+        for step, order, offsets in _ROTATION_CENTERS:
             hits = []
-            for c in _candidate_centers(self.cell, kinds, self.anchor):
+            for c in _candidate_centers(self.cell, offsets, self.anchor):
                 iso = _fixing(step, False, c)
                 if iso is not None and is_symmetry(self.design, iso):
                     hits.append(iso)

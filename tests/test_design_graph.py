@@ -12,7 +12,7 @@ from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
                        motif_signature, segment_endpoints, translation_basis,
                        walk_vertices)
 from isostitch import design_graph
-from isostitch.design_graph import _least_rotation
+from isostitch.design_graph import _least_rotation, direction_slots
 from isostitch.grid import DIRECTION_INDEX, DIRECTIONS
 
 
@@ -236,6 +236,18 @@ def test_components_match_adjacency_oracle(specs, conv, i0, j0, w, h):
     design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
     _assert_matches_oracle(design)
     _assert_matches_oracle(dual(design))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 20), st.integers(0, 20))
+def test_open_paths_are_half_the_vertices_with_one_stitch(specs, conv, i0, j0, w, h):
+    # each open path has two ends, the only vertices of degree 1 on its side
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    for side in ("front", "back"):
+        ends = sum((a != 0) + (b != 0) == 1 for a, b in zip(*direction_slots(design, side)))
+        assert 2 * len(build_components(design, side)[1]) == ends
 
 
 @settings(deadline=None)

@@ -14,7 +14,7 @@ from isostitch import (PRESENCE_PARITY, DirectionSpec, GridConvention,
 from isostitch.design_graph import _POINT_CODES
 from isostitch.grid import DIRECTIONS, point_directions
 from isostitch.stitcher import _row_shift_period
-from isostitch.symmetry import _apply, point_matrix
+from isostitch.symmetry import _apply, _overlap_has_cell, point_matrix
 from stitch_rule import LineId, is_front, is_line_present
 
 
@@ -165,6 +165,57 @@ def test_overlap_too_small_raises():
         is_symmetry(d, LatticeIsometry(translation=(8, 0)))
     with pytest.raises(OverlapTooSmallError):
         classify_wallpaper(_design("0", 5))
+
+
+def _reference_overlap_has_cell(win: Window, m, t: tuple[int, int],
+                                cell: tuple[int, int]) -> bool:
+    """Is there an integer-anchored period cell visible on both sides of g?"""
+    ci, cj = cell
+
+    def fits(x: int, y: int) -> bool:
+        for dx, dy in ((0, 0), (ci, 0), (0, cj), (ci, cj)):
+            u = (x + dx, y + dy)
+            if not win.contains(u) or not win.contains(_apply(m, t, u)):
+                return False
+        return True
+
+    cx = (win.i_min + win.i_max) // 2
+    cy = (win.j_min + win.j_max) // 2
+    for ax in (cx - ci // 2, cx - ci // 2 - (t[0] + 1) // 2):
+        for ay in (cy - cj // 2, cy - cj // 2 - (t[1] + 1) // 2):
+            for dx in (0, -ci, ci):
+                for dy in (0, -cj, cj):
+                    if fits(ax + dx, ay + dy):
+                        return True
+    for x in range(win.i_min, win.i_max - ci + 1):
+        for y in range(win.j_min, win.j_max - cj + 1):
+            if fits(x, y):
+                return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(point=st.sampled_from(_POINT_PARTS),
+       corner=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       t=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       cell=st.tuples(st.integers(1, 16), st.integers(1, 16)))
+def test_overlap_guard_agrees_with_the_anchor_scan(point, corner, size, t, cell):
+    win = Window(corner[0], corner[0] + size[0] - 1, corner[1], corner[1] + size[1] - 1)
+    m = point_matrix(*point)
+    assert _overlap_has_cell(win, m, t, cell) == _reference_overlap_has_cell(win, m, t, cell)
+
+
+def test_overlap_guard_finds_an_anchor_away_from_the_window_middle():
+    # The only anchor is (0, 0): the 36 anchors tried around the middle all
+    # miss it, and only the full-window scan of the reference finds it.
+    win, m, t, cell = Window(0, 4, 0, 1), point_matrix(5, False), (0, 1), (1, 1)
+    anchors = [(x, y) for x, y in win.vertices()
+               if all(win.contains(u) and win.contains(_apply(m, t, u))
+                      for u in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))]
+    assert anchors == [(0, 0)]
+    assert _overlap_has_cell(win, m, t, cell) is True
+    assert _reference_overlap_has_cell(win, m, t, cell) is True
 
 
 def test_rotation_that_is_not_a_symmetry_returns_false():
