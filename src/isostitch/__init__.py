@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # The public API: each module and the names it defines.
 _EXPORTS = {
     "design_graph": ("Cycle", "MotifCensus", "build_components", "direction_slots",
-                     "motif_census", "motif_signature", "walk_vertices"),
+                     "forward_maps", "motif_census", "motif_signature", "walk_vertices"),
     "errors": ("CalibrationError", "InvalidOrderError", "IsostitchError",
                "OverlapTooSmallError", "WindowError", "WordError"),
     "grid": ("DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "PRESENCE_PARITY", "VISITED",

@@ -11,7 +11,7 @@ when some lattice isometry maps one onto the other.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .grid import DIRECTION_INDEX, DIRECTIONS, Family, point_directions
 from .stitcher import Design
@@ -41,12 +41,14 @@ def walk_vertices(start: tuple[int, int], codes: bytes) -> tuple[tuple[int, int]
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A closed stitch path in canonical form: start is its least vertex,
     and codes holds the direction code (1..6, direction index + 1) of each
     step, starting toward start's lesser cycle-neighbor. The last step
-    returns to start."""
+    returns to start.
+
+    len() counts the steps, not the two fields, so the tuple's _make and
+    _replace, which check the field count by len(), do not apply."""
 
     start: tuple[int, int]
     codes: bytes
@@ -84,13 +86,34 @@ class Cycle:
         return cls(tuple(verts[least]), bytes(codes))
 
 
-@dataclass(frozen=True)
-class MotifCensus:
+class MotifCensus(NamedTuple):
     counts: dict[str, int]
     open_paths: int
 
     def total_cycles(self) -> int:
         return sum(self.counts.values())
+
+
+def _forward_runs(design: Design, side: str) -> Iterator[tuple[Family, int, int, int]]:
+    """Yield (family, p, v, count) for each row of Design.runs(side): p is
+    the row's first stitched position, v the index of the vertex there as
+    direction_slots numbers them, and the row's stitches leave the vertices
+    v, v + 2d, ..., v + 2(count - 1)d forward by d, the index step of
+    direction code family + 1. Position p of line k is vertex (p, k) on an
+    A-line, (k, p) on a B-line and (k - p, p) on a C-line."""
+    win = design.window
+    j_count = win.j_count
+    for family, k, p, count in design.runs(side):
+        i, j = (p, k) if family == Family.A else (k, p) if family == Family.B else (k - p, p)
+        yield family, p, (i - win.i_min) * j_count + j - win.j_min, count
+
+
+def _fill(buf: bytearray, v: int, stride: int, count: int, value: int) -> None:
+    """Set the count bytes v, v + stride, ... of buf to value, by one slice
+    assignment."""
+    if stride < 0:
+        v, stride = v + (count - 1) * stride, -stride
+    buf[v:v + (count - 1) * stride + 1:stride] = bytes((value,)) * count
 
 
 def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
@@ -109,32 +132,36 @@ def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
     line's stride of two positions (2*j_count for A-lines, 2 for B-lines,
     2*(1 - j_count) for C-lines). Every stitch is recorded at both ends.
     """
-    win = design.window
-    j_count = win.j_count
-    n = win.vertex_count()
+    n = design.window.vertex_count()
     one, two = bytearray(n), bytearray(n)
-    step = _steps(j_count)
-
-    def put(slot: bytearray, v: int, stride: int, count: int, code: int) -> None:
-        if stride < 0:
-            v, stride = v + (count - 1) * stride, -stride
-        slot[v:v + (count - 1) * stride + 1:stride] = bytes((code,)) * count
-
-    # p is the first position stitched forward; family F's lines run in
-    # direction F: code F + 1 ahead, F + 4 back
-    for family, k, p, count in design.runs(side):
-        d = step[family + 1]
+    step = _steps(design.window.j_count)
+    # family F's lines run in direction F: code F + 1 ahead, F + 4 back
+    for family, p, v, count in _forward_runs(design, side):
         if family == Family.A:
-            v, ahead, behind = (p - win.i_min) * j_count + k - win.j_min, one, one
+            ahead, behind = one, one
         elif family == Family.B:
-            v = (k - win.i_min) * j_count + p - win.j_min
             # vertex (k, p) is on A-line p when p is even, else on C-line k + p
             ahead, behind = (two, one) if p % 2 == 0 else (one, two)
         else:
-            v, ahead, behind = (k - p - win.i_min) * j_count + p - win.j_min, two, two
-        put(ahead, v, 2 * d, count, family + 1)
-        put(behind, v + d, 2 * d, count, family + 4)
+            ahead, behind = two, two
+        d = step[family + 1]
+        _fill(ahead, v, 2 * d, count, family + 1)
+        _fill(behind, v + d, 2 * d, count, family + 4)
     return one, two
+
+
+def forward_maps(design: Design, side: str) -> tuple[bytearray, bytearray, bytearray]:
+    """Per family F, one byte per window vertex, numbered as in
+    direction_slots: 1 where a stitch of F on this side leaves the vertex
+    forward, by direction code F + 1, and 0 elsewhere. These are the stitch
+    ends that direction_slots records as code F + 1, one map per code, each
+    filled by slice assignment along the rows."""
+    n = design.window.vertex_count()
+    maps = (bytearray(n), bytearray(n), bytearray(n))
+    step = _steps(design.window.j_count)
+    for family, _, v, count in _forward_runs(design, side):
+        _fill(maps[family], v, 2 * step[family + 1], count, 1)
+    return maps
 
 
 def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple[tuple[int, int], bytes]]]:

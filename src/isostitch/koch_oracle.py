@@ -11,10 +11,14 @@ verify_koch stitches the order-n word in all three directions and asks
 whether some front cycle is the order-n polygon, up to lattice isometry. It
 walks no candidate's cycles: every iterate of order >= 1 is mapped onto a
 translate of itself by each lattice point symmetry, so it places the polygon
-alone at every window vertex where it fits, and intersects shifted bitmaps
-of the front stitches per direction until only the placements whose every
-edge is a front stitch are left. A hit is re-found by the component walk on
-its bounding window and matched by motif signature before it is returned.
+alone. The Koch lattice is square, so a period translation moves any hit
+whose least i or least j lies a period or more past the window's to a
+lesser hit. So each design is built only on the sub-window that holds the
+placements anchored in the period cell at the window's least corner. There
+it intersects shifted bitmaps of the forward-stitch maps, one per family,
+until only the placements whose every edge is a front stitch are left. A
+hit is re-found by the component walk on its bounding window and matched by
+motif signature before it is returned.
 
 KOCH_PHASES, koch_pattern and koch_window are the Koch design conventions
 the CLI and tools share: the phases at which the search succeeds, the
@@ -23,13 +27,14 @@ window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .design_graph import (Cycle, build_components, direction_slots, motif_signature,
+from .design_graph import (Cycle, build_components, forward_maps, motif_signature,
                            walk_vertices)
 from .errors import InvalidOrderError, WindowError
 from .grid import Window
-from .stitcher import Design, DirectionSpec, StitchPattern, generate_design, period_cell
+from .stitcher import (Design, DirectionSpec, StitchPattern, generate_design,
+                       translation_basis)
 
 # Relative word phases under which the snowflake verification succeeds;
 # reused as defaults so rendered Koch charts actually contain the snowflake.
@@ -73,8 +78,7 @@ def koch_polygon(order: int) -> Cycle:
     return Cycle.from_vertices(vs)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     found: bool
     phases: dict[int, int]
     matched_cycle: Cycle | None
@@ -100,15 +104,18 @@ def _box(cycle: Cycle) -> Window:
 
 
 # Edges of a placement checked as shifted bitmaps before the surviving
-# anchors are checked one by one in the direction slots. Each AND costs a
-# pass over the window, and after 64 edges few anchors are left (12 at
-# order 4), so the order-6 polygon's 12,288 edges are not all ANDed.
+# anchors are checked one by one in the forward maps. Each AND costs a pass
+# over the window, and after 64 edges few anchors are left (12 at order 4),
+# so the order-6 polygon's 12,288 edges are not all ANDed.
 _BITMAP_EDGES = 64
 
+# Byte 0 or 1 becomes the ASCII digit "0" or "1".
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
-def _code_bitmap(slot: bytearray, code: int) -> int:
-    """Bit v is set when slot v holds code."""
-    digits = slot.translate(bytes(49 if c == code else 48 for c in range(256)))  # ASCII 1/0
+
+def _bitmap(forward: bytearray) -> int:
+    """Bit v is set when byte v of the forward map is."""
+    digits = forward.translate(_ASCII_BITS)
     digits.reverse()
     return int(digits, 2)
 
@@ -118,38 +125,44 @@ def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
     translates of the image, or None.
 
     Each image edge from offset o by code c asks for a front stitch there;
-    an edge with c > 3 is asked from its other end by code c - 3, so only
-    codes 1-3 need a bitmap. The anchors start as every index a that keeps
-    a + o inside the slots for each offset o. The first _BITMAP_EDGES edges
-    AND in their code's bitmap shifted right by o, stopping at the first
-    empty mask; every surviving anchor, in increasing order, then has its
-    remaining edges checked in direction_slots. The first anchor that passes
-    is the least vertex of its translate.
+    an edge with c > 3 is asked from its other end by code c - 3. Codes 1-3
+    are the forward directions of families A, B and C, so each edge is a
+    lookup in one family's forward map (design_graph.forward_maps). The
+    anchors start as every index a that keeps a + o inside the window for
+    each offset o. The first _BITMAP_EDGES edges AND in their family's
+    bitmap, built when an edge first needs it, shifted right by o, stopping
+    at the first empty mask; every surviving anchor, in increasing order,
+    then has its remaining edges looked up in the forward maps. The first
+    anchor that passes is the least vertex of its translate.
 
     A placement that wraps across a row edge of the window never passes:
-    an edge found in direction_slots is an in-window stitch whose far end
-    has the next polygon vertex's index, so from the anchor on every vertex
-    of a passing placement is the in-window translate of the image's.
+    a forward-map byte marks an in-window stitch, whose far end is the
+    vertex one step on in the edge's direction and has the next polygon
+    vertex's index, so from the anchor on every vertex of a passing
+    placement is the in-window translate of the image's.
     """
     win = design.window
     j_count = win.j_count
-    one, two = direction_slots(design, "front")
-    bitmaps = {code: _code_bitmap(one, code) | _code_bitmap(two, code) for code in (1, 2, 3)}
+    maps = forward_maps(design, "front")
     offsets = [i * j_count + j for i, j in image.vertices]
-    mask = (1 << max(len(one) - max(offsets), 0)) - 1
-    edges = [(o, code) if code <= 3 else (after, code - 3)
+    mask = (1 << max(len(maps[0]) - max(offsets), 0)) - 1
+    # (offset, family): a front stitch of the family leaves anchor + offset forward
+    edges = [(o, code - 1) if code <= 3 else (after, code - 4)
              for o, after, code in zip(offsets, offsets[1:] + offsets[:1], image.codes)]
-    for offset, code in edges[:_BITMAP_EDGES]:
-        mask &= bitmaps[code] >> offset
+    bitmaps: list[int | None] = [None, None, None]
+    for offset, family in edges[:_BITMAP_EDGES]:
+        if bitmaps[family] is None:
+            bitmaps[family] = _bitmap(maps[family])
+        mask &= bitmaps[family] >> offset
         if not mask:
             return None
-    rest = edges[_BITMAP_EDGES:]
+    rest = [(o, maps[family]) for o, family in edges[_BITMAP_EDGES:]]
     # bit a of the mask is the character len(bits) - 1 - a of bin(mask)
     bits = bin(mask)
     pos = bits.rfind("1", 2)
     while pos >= 2:
         a = len(bits) - 1 - pos
-        if all(one[a + o] == c or two[a + o] == c for o, c in rest):
+        if all(forward[a + o] for o, forward in rest):
             return Cycle((win.i_min + a // j_count, win.j_min + a % j_count), image.codes)
         pos = bits.rfind("1", 2, pos)
     return None
@@ -215,6 +228,24 @@ def verify_koch(order: int, window: Window,
     - _find_polygon tests the placements of the polygon inside the window
       in increasing order of least vertex and returns the first that passes.
 
+    Each design is built on one period cell of anchors, the sub-window
+    i_min..i_min + X + A - 2 by j_min..j_min + Y + B - 2 of the given
+    window, where X by Y is the polygon's extent in vertices and (A, B) the
+    period cell. It has the same least hit as the whole window:
+    - The Koch lattice is square, with basis (A, 0), (0, B) (checked
+      below). translation_basis reads only the least periods of the row
+      bits, and a phase rotates a family's row bits and may complement them,
+      which keeps their least period, so the basis is the same at every
+      phase.
+    - Take a hit whose least i is at least i_min + A. Its translate by
+      (-A, 0) is a front cycle of the infinite design, lies in the window,
+      and has the lesser least vertex. So does the translate by (0, -B) of
+      a hit whose least j is at least j_min + B. So the least hit of the
+      window has its least i and least j within one period of i_min and
+      j_min, and lies in the sub-window; a hit in the sub-window is a hit
+      of the window, since the sub-window's front stitches are the window's
+      there.
+
     The search scans only the 2P candidates (0, b, c) with b in (0, 1) of
     the P^2 phase pairs (P = phase_period(order), which is even), and finds
     the same first hit as the full lexicographic scan:
@@ -225,11 +256,12 @@ def verify_koch(order: int, window: Window,
       each moved line keeps its row parity exactly when its phase drops by
       2t.
     - The window spans at least the polygon's extent plus one period cell
-      in each axis (checked below). So any copy of the polygon in the
-      infinite design can be moved by a period translation to lie inside
-      the window, where it is a front cycle; and a front cycle of the
-      window is one of the infinite design, whose stitch graph has maximum
-      degree 2.
+      in each axis (checked below), and the sub-window searched that
+      extent plus a period cell less one vertex. So any copy of the polygon
+      in the infinite design can be moved by a period translation to lie
+      inside the sub-window, where it is a front cycle; and a front cycle
+      of the sub-window is one of the infinite design, whose stitch graph
+      has maximum degree 2.
       Whether a candidate has a hit is therefore the same across each orbit
       of the translations above.
     - Every orbit holds a candidate with b <= 1, lexicographically no later
@@ -247,14 +279,18 @@ def verify_koch(order: int, window: Window,
         raise InvalidOrderError(f"verification order must be an integer >= 1, got {order!r}")
     polygon = koch_polygon(order)
     box = _box(polygon)
-    cell = period_cell(koch_pattern(order, (0, 0, 0)))
-    if window.i_count < box.i_count + cell[0] or window.j_count < box.j_count + cell[1]:
+    (a, _), (e, b) = translation_basis(koch_pattern(order, (0, 0, 0)))
+    if e:
+        raise AssertionError(f"the order-{order} Koch lattice is not square: E = {e}")
+    if window.i_count < box.i_count + a or window.j_count < box.j_count + b:
         raise WindowError(
             f"window {window} cannot hold an order-{order} polygon "
-            f"({box.i_count}x{box.j_count}) with a {cell} period cell of margin")
+            f"({box.i_count}x{box.j_count}) with a {(a, b)} period cell of margin")
+    anchors = Window(window.i_min, window.i_min + box.i_count + a - 2,
+                     window.j_min, window.j_min + box.j_count + b - 2)
 
     for cand in phase_candidates(order) if phases is None else [phases]:
-        hit = find_koch(generate_design(window, koch_pattern(order, cand)), polygon)
+        hit = find_koch(generate_design(anchors, koch_pattern(order, cand)), polygon)
         if hit is not None:
             return VerificationResult(True, dict(enumerate(cand)), hit)
     return VerificationResult(False, dict(enumerate(phases or (0, 0, 0))), None)

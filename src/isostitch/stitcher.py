@@ -20,10 +20,9 @@ row_bits, so the Koch search and the symmetry checks share one lattice rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import WordError
 from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
@@ -31,8 +30,7 @@ from .grid import (DEFAULT_CONVENTION, PRESENCE_PARITY, Family, GridConvention,
 from .words import koch_word, palindromic_period, parse_word
 
 
-@dataclass(frozen=True)
-class DirectionSpec:
+class DirectionSpec(NamedTuple):
     """Offset bits for the present lines of one family: the line with
     ordinal m gets bits[(m + phase) mod len(bits)].
 
@@ -56,8 +54,7 @@ class DirectionSpec:
         return cls(palindromic_period(koch_word(order)), phase, order)
 
 
-@dataclass(frozen=True)
-class StitchPattern:
+class StitchPattern(NamedTuple):
     specs: tuple[DirectionSpec, DirectionSpec, DirectionSpec]
     convention: GridConvention = DEFAULT_CONVENTION
 
@@ -125,19 +122,21 @@ def side_parity(which: str) -> int:
     raise ValueError(f"side must be 'front' or 'back', got {which!r}")
 
 
-@dataclass(frozen=True)
-class Design:
+class _DesignRows(NamedTuple):
+    window: Window
+    lines: tuple[tuple[LineRow, ...], tuple[LineRow, ...], tuple[LineRow, ...]]
+    pattern: StitchPattern
+
+
+class Design(_DesignRows):
     """A finite-window materialization of a stitch pattern, stored line by
     line: lines[F] holds one LineRow per present line of family F that
     crosses the window, in increasing k.
 
     front and back are the SegmentId sets of each side, built from the rows
-    on first access and then cached.
+    on first access and then cached in the instance dictionary, which this
+    subclass of the (window, lines, pattern) tuple has for them.
     """
-
-    window: Window
-    lines: tuple[tuple[LineRow, ...], tuple[LineRow, ...], tuple[LineRow, ...]]
-    pattern: StitchPattern = field(repr=False)
 
     def runs(self, side: str) -> Iterator[tuple[Family, int, int, int]]:
         """Yield (family, k, first, count) for each row with a stitch on the

@@ -306,9 +306,12 @@ def test_version_loads_no_design_module(tmp_path):
 
 
 def test_verify_koch_loads_neither_render_nor_symmetry(tmp_path):
+    # nor dataclasses, which imports inspect: the Koch chain's records are
+    # NamedTuples
     loaded = _modules_loaded_by("verify-koch", "--order", "1", cwd=tmp_path)
     assert "isostitch.koch_oracle" in loaded
-    assert not loaded & {"isostitch.render", "isostitch.symmetry", "fractions", "decimal"}
+    assert not loaded & {"isostitch.render", "isostitch.symmetry", "fractions", "decimal",
+                         "dataclasses", "inspect"}
 
 
 # The README's start-up table: the modules each command loads besides the

@@ -12,7 +12,7 @@ from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
                        motif_signature, segment_endpoints, translation_basis,
                        walk_vertices)
 from isostitch import design_graph
-from isostitch.design_graph import _least_rotation, direction_slots
+from isostitch.design_graph import _least_rotation, direction_slots, forward_maps
 from isostitch.grid import DIRECTION_INDEX, DIRECTIONS
 
 
@@ -248,6 +248,21 @@ def test_open_paths_are_half_the_vertices_with_one_stitch(specs, conv, i0, j0, w
     for side in ("front", "back"):
         ends = sum((a != 0) + (b != 0) == 1 for a, b in zip(*direction_slots(design, side)))
         assert 2 * len(build_components(design, side)[1]) == ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
+       st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(0, 20), st.integers(0, 20))
+def test_forward_maps_mark_the_forward_codes_of_the_direction_slots(specs, conv, i0, j0, w, h):
+    # off-origin windows down to one-vertex strips: family f's map marks
+    # exactly the vertices that direction_slots gives code f + 1, the ones
+    # a stitch of f leaves forward
+    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
+    for side in ("front", "back"):
+        one, two = direction_slots(design, side)
+        for f, forward in enumerate(forward_maps(design, side)):
+            assert list(forward) == [int(a == f + 1 or b == f + 1) for a, b in zip(one, two)]
 
 
 @settings(deadline=None)

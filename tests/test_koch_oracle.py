@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from isostitch import koch_oracle
 from isostitch import (Cycle, InvalidOrderError, StitchPattern, Window, WindowError,
                        build_components, generate_design, koch_directions,
-                       koch_pattern, koch_polygon, motif_signature, period_cell,
-                       segment_endpoints, verify_koch)
+                       koch_pattern, koch_polygon, koch_window, motif_signature,
+                       period_cell, segment_endpoints, translation_basis, verify_koch)
 from isostitch.grid import DIRECTION_INDEX
 from koch_rule import replace_runs, scale_directions
 from test_design_graph import _CHIRAL, convention, mixed_spec
@@ -214,6 +214,51 @@ def test_placement_search_agrees_with_the_walk_on_tight_windows(order, i_min, j_
             == _walk_search(order, window, phases))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(-60, 60), st.integers(-60, 60), st.data())
+def test_one_period_cell_of_anchors_finds_the_hit_of_the_whole_window(order, i_min, j_min,
+                                                                     data):
+    # verify_koch builds each design only on the placements anchored in the
+    # period cell at the window's least corner. On off-origin windows with up
+    # to two more period cells per axis than it needs, its hit must be the
+    # first that walking every front cycle of the whole window meets.
+    box = koch_oracle._box(koch_polygon(order))
+    cell = period_cell(koch_pattern(order, (0, 0, 0)))
+    i_extra, j_extra = (data.draw(st.integers(0, 2 * c)) for c in cell)
+    window = Window(i_min, i_min + box.i_count + cell[0] + i_extra - 1,
+                    j_min, j_min + box.j_count + cell[1] + j_extra - 1)
+    period = koch_oracle.phase_period(order)
+    # the default hit's phases at order 1 and at orders 2-3, or any phases
+    phases = data.draw(st.one_of(st.sampled_from([(0, 0, 0), koch_oracle.KOCH_PHASES]),
+                                 st.tuples(*[st.integers(0, period - 1)] * 3)))
+    res = verify_koch(order, window, phases)
+    hit = _walk_search(order, window, phases)
+    assert res.found == (hit is not None)
+    assert res.matched_cycle == hit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_the_koch_lattice_is_square_at_every_phase(order, data):
+    # the one-cell restriction translates hits by (A, 0) and (0, B), the
+    # basis translation_basis gives at any phases: a 4*3^(n-1) square
+    period = koch_oracle.phase_period(order)
+    phases = data.draw(st.tuples(*[st.integers(0, period - 1)] * 3))
+    side = 4 * 3 ** (order - 1)
+    assert translation_basis(koch_pattern(order, phases)) == ((side, 0), (0, side))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_the_default_hit_has_its_least_vertex_in_closed_form(order):
+    # the snowflake's place under the Koch inflation: least vertex
+    # (2*3^(n-1) - 1, 5*3^(n-1) - 1), at phases (0, 0, 0) for order 1 and
+    # (0, 0, 1) above it
+    res = verify_koch(order, koch_window(order))
+    assert res.found
+    assert res.phases == dict(enumerate((0, 0, 0) if order == 1 else (0, 0, 1)))
+    assert res.matched_cycle.start == (2 * 3 ** (order - 1) - 1, 5 * 3 ** (order - 1) - 1)
+
+
 def _point_image_walks(cycle: Cycle) -> list[list[tuple[int, int]]]:
     """The vertex lists of the cycle's images under the 12 lattice point
     symmetries, each traced from the origin."""
@@ -287,9 +332,12 @@ def test_koch_iterates_tool_reproduces_the_readme_table():
 
 @pytest.mark.slow
 def test_verify_order_four_peaks_at_a_few_bytes_per_window_vertex():
-    # The placement search holds two direction-code slots and a few packed
-    # bitmaps over the window; walking every front cycle of each candidate
-    # peaked at about 26 bytes per vertex.
+    # The placement search holds three forward-stitch maps, a byte per
+    # vertex each, and up to three packed bitmaps, over the 216^2 vertices
+    # of one period cell of anchors rather than the 333^2 window: it peaks
+    # at about 2.3 bytes per window vertex, and did at 3.9 on two
+    # direction-code slots over the window. Walking every front cycle of
+    # each candidate peaked at about 26.
     window = _window(4)
     tracemalloc.start()
     try:

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -51,7 +50,7 @@ def test_back_is_dashed_and_secondary():
 def test_empty_design_with_dots_has_only_dot_elements():
     pat = StitchPattern.uniform(DirectionSpec.periodic("0"))
     d = generate_design(Window(0, 6, 0, 6), pat)
-    empty = replace(d, lines=((), (), ()))
+    empty = d._replace(lines=((), (), ()))
     svg = to_svg(empty, RenderOptions(show_grid_dots=True,
                                       show_empty_vertices=True)).decode()
     assert svg.count("<line") == 0
