@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # The public API: each module and the names it defines.
 _EXPORTS = {
-    "design_graph": ("Cycle", "MotifCensus", "build_components", "direction_slots",
-                     "forward_maps", "motif_census", "motif_signature", "walk_vertices"),
+    "design_graph": ("Cycle", "MotifCensus", "build_components", "family_codes",
+                     "motif_census", "motif_signature", "walk_vertices"),
     "errors": ("CalibrationError", "InvalidOrderError", "IsostitchError",
                "OverlapTooSmallError", "WindowError", "WordError"),
     "grid": ("DEFAULT_CONVENTION", "DIRECTIONS", "EMPTY", "PRESENCE_PARITY", "VISITED",

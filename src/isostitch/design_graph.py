@@ -11,7 +11,7 @@ when some lattice isometry maps one onto the other.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .grid import DIRECTION_INDEX, DIRECTIONS, Family, point_directions
 from .stitcher import Design
@@ -94,73 +94,35 @@ class MotifCensus(NamedTuple):
         return sum(self.counts.values())
 
 
-def _forward_runs(design: Design, side: str) -> Iterator[tuple[Family, int, int, int]]:
-    """Yield (family, p, v, count) for each row of Design.runs(side): p is
-    the row's first stitched position, v the index of the vertex there as
-    direction_slots numbers them, and the row's stitches leave the vertices
-    v, v + 2d, ..., v + 2(count - 1)d forward by d, the index step of
-    direction code family + 1. Position p of line k is vertex (p, k) on an
-    A-line, (k, p) on a B-line and (k - p, p) on a C-line."""
-    win = design.window
-    j_count = win.j_count
-    for family, k, p, count in design.runs(side):
-        i, j = (p, k) if family == Family.A else (k, p) if family == Family.B else (k - p, p)
-        yield family, p, (i - win.i_min) * j_count + j - win.j_min, count
-
-
-def _fill(buf: bytearray, v: int, stride: int, count: int, value: int) -> None:
-    """Set the count bytes v, v + stride, ... of buf to value, by one slice
-    assignment."""
-    if stride < 0:
-        v, stride = v + (count - 1) * stride, -stride
-    buf[v:v + (count - 1) * stride + 1:stride] = bytes((value,)) * count
-
-
-def direction_slots(design: Design, side: str) -> tuple[bytearray, bytearray]:
-    """Per window vertex, the direction codes of its stitches on one side.
+def family_codes(design: Design, side: str) -> tuple[bytearray, bytearray, bytearray]:
+    """Per family F, the direction code of each window vertex's stitch on
+    its F-line on one side: F + 1 where the stitch leaves the vertex
+    forward, F + 4 where it leaves backward, 0 where there is none.
 
     Vertices are numbered v = (i - i_min) * j_count + (j - j_min), so index
-    order is vertex order. A visited vertex lies on two present lines: A-line
-    j at position i and C-line i + j at position j, with B-line i at position
-    j taking the slot that is free. On each present line a stitch of this
-    side runs from position p to p + 1 when (p + row) has the side's parity
-    and p lies in the line's range, so the positions with a stitch forward
-    are every second one (Design.runs gives the first and their count), and
-    their partners the positions just after them.
-    Two bytearrays hold per vertex the direction code toward its partner on
-    each line (0 where there is none), filled by slice assignment with the
-    line's stride of two positions (2*j_count for A-lines, 2 for B-lines,
-    2*(1 - j_count) for C-lines). Every stitch is recorded at both ends.
+    order is vertex order. A vertex lies on at most one line of each family,
+    and a line's stitches alternate sides, so it has at most one stitch of
+    a side there and each byte is written once. Each row of Design.runs
+    fills its family's map with one strided slice: the row's stitches run
+    forward from every second position, so from its first stitch to its
+    last stitch's far end the codes alternate F + 1, F + 4, ... Position p
+    of line k is vertex (p, k) on an A-line, (k, p) on a B-line and
+    (k - p, p) on a C-line, whose index step 1 - j_count is negative, so
+    its slice is taken the other way and gets the reversed pattern.
     """
-    n = design.window.vertex_count()
-    one, two = bytearray(n), bytearray(n)
-    step = _steps(design.window.j_count)
-    # family F's lines run in direction F: code F + 1 ahead, F + 4 back
-    for family, p, v, count in _forward_runs(design, side):
-        if family == Family.A:
-            ahead, behind = one, one
-        elif family == Family.B:
-            # vertex (k, p) is on A-line p when p is even, else on C-line k + p
-            ahead, behind = (two, one) if p % 2 == 0 else (one, two)
-        else:
-            ahead, behind = two, two
-        d = step[family + 1]
-        _fill(ahead, v, 2 * d, count, family + 1)
-        _fill(behind, v + d, 2 * d, count, family + 4)
-    return one, two
-
-
-def forward_maps(design: Design, side: str) -> tuple[bytearray, bytearray, bytearray]:
-    """Per family F, one byte per window vertex, numbered as in
-    direction_slots: 1 where a stitch of F on this side leaves the vertex
-    forward, by direction code F + 1, and 0 elsewhere. These are the stitch
-    ends that direction_slots records as code F + 1, one map per code, each
-    filled by slice assignment along the rows."""
-    n = design.window.vertex_count()
+    win = design.window
+    j_count = win.j_count
+    n = win.vertex_count()
     maps = (bytearray(n), bytearray(n), bytearray(n))
-    step = _steps(design.window.j_count)
-    for family, _, v, count in _forward_runs(design, side):
-        _fill(maps[family], v, 2 * step[family + 1], count, 1)
+    step = _steps(j_count)
+    for family, k, p, count in design.runs(side):
+        i, j = (p, k) if family == Family.A else (k, p) if family == Family.B else (k - p, p)
+        v = (i - win.i_min) * j_count + j - win.j_min
+        d = step[family + 1]
+        pattern = (family + 1, family + 4)
+        if d < 0:
+            v, d, pattern = v + (2 * count - 1) * d, -d, pattern[::-1]
+        maps[family][v:v + (2 * count - 1) * d + 1:d] = bytes(pattern) * count
     return maps
 
 
@@ -172,13 +134,15 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     mostly a piece of an infinite strand of the design, sometimes a loop.
 
     Works from the design's line rows without building segment sets, on the
-    per-vertex direction codes of direction_slots. A walk steps idx +=
-    step[code] and leaves each vertex by the slot that is not the reverse of
-    the code it arrived by, and keeps the codes it steps by: a closed walk's
-    codes are its Cycle's, and an open path is (start, codes) too, its
-    vertices walk_vertices(start, codes). The scan jumps to the next unseen
-    vertex with bytearray.find; one with no stitch on this side, an empty
-    vertex among them, has no slot code and starts nothing.
+    per-family direction codes of family_codes. A walk steps idx +=
+    step[code]. Arriving by a code of family F, it has used the vertex's
+    F-line stitch, and the vertex lies on one line of the other two
+    families, so it leaves by the non-zero code of those two maps. It
+    keeps the codes it steps by: a closed walk's codes are its Cycle's, and
+    an open path is (start, codes) too, its vertices walk_vertices(start,
+    codes). The scan jumps to the next unseen vertex with bytearray.find;
+    one with no stitch on this side, an empty vertex among them, has no
+    code in any map and starts nothing.
 
     Deterministic: cycles are listed by least vertex, each starting there
     and proceeding toward its lesser neighbor (Cycle's canonical form);
@@ -188,8 +152,10 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     win = design.window
     j_count = win.j_count
     n = win.vertex_count()
-    one, two = direction_slots(design, side)
+    maps = a_codes, b_codes, c_codes = family_codes(design, side)
     step = _steps(j_count)
+    # others[c]: the maps of the two families other than that of code c
+    others = [()] + [(maps[(f + 1) % 3], maps[(f + 2) % 3]) for f in (0, 1, 2) * 2]
 
     seen = bytearray(n)
 
@@ -205,10 +171,8 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
         cur = start + step[code]
         while cur != start:
             seen[cur] = 1
-            back = _REVERSE[code]
-            code = one[cur]
-            if code == back:
-                code = two[cur]
+            near, far = others[code]
+            code = near[cur] or far[cur]
             if not code:
                 break
             codes.append(code)
@@ -219,7 +183,12 @@ def build_components(design: Design, side: str) -> tuple[list[Cycle], list[tuple
     paths: list[tuple[tuple[int, int], bytes]] = []
     v = seen.find(0)
     while v >= 0:
-        first, other = one[v], two[v]
+        # v lies on two lines: a B code stands in for a missing A or C code
+        first, other = a_codes[v], c_codes[v]
+        if not first:
+            first = b_codes[v]
+        elif not other:
+            other = b_codes[v]
         # leave v toward its lesser neighbour, the one at the smaller offset
         if not first or (other and step[other] < step[first]):
             first, other = other, first

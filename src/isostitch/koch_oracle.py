@@ -15,10 +15,10 @@ alone. The Koch lattice is square, so a period translation moves any hit
 whose least i or least j lies a period or more past the window's to a
 lesser hit. So each design is built only on the sub-window that holds the
 placements anchored in the period cell at the window's least corner. There
-it intersects shifted bitmaps of the forward-stitch maps, one per family,
-until only the placements whose every edge is a front stitch are left. A
-hit is re-found by the component walk on its bounding window and matched by
-motif signature before it is returned.
+it intersects shifted bitmaps of each family's forward front stitches, read
+from the front direction codes, until only the placements whose every edge
+is a front stitch are left. A hit is re-found by the component walk on its
+bounding window and matched by motif signature before it is returned.
 
 KOCH_PHASES, koch_pattern and koch_window are the Koch design conventions
 the CLI and tools share: the phases at which the search succeeds, the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .design_graph import (Cycle, build_components, forward_maps, motif_signature,
+from .design_graph import (Cycle, build_components, family_codes, motif_signature,
                            walk_vertices)
 from .errors import InvalidOrderError, WindowError
 from .grid import Window
@@ -52,30 +52,22 @@ def koch_directions(order: int) -> list[int]:
     return dirs
 
 
-def directions_to_vertices(dirs: list[int]) -> list[tuple[int, int]]:
-    """Accumulate unit steps from the origin into a closed vertex list
-    (closure asserted)."""
-    vs = walk_vertices((0, 0), bytes(d + 1 for d in dirs))
-    if vs[-1] != (0, 0):
-        raise AssertionError("direction word does not close up")
-    return list(vs[:-1])
-
-
 def koch_polygon(order: int) -> Cycle:
     """Construct the order-k snowflake, traced from the origin: order 0 is
     the bare triangle, order 1 the hexagram.
 
-    Asserts the contract while building: 3 * 4**k unit segments and base
-    side displacement exactly (3**k, 0); Cycle.from_vertices raises
-    ValueError if the polygon repeats a vertex.
+    Asserts the contract while building: 3 * 4**k unit segments, a walk
+    that closes up, and base side displacement exactly (3**k, 0);
+    Cycle.from_vertices raises ValueError if the polygon repeats a vertex.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise InvalidOrderError(f"polygon order must be an integer >= 0, got {order!r}")
     dirs = koch_directions(order)
     assert len(dirs) == 3 * 4 ** order
-    vs = directions_to_vertices(dirs)
+    vs = walk_vertices((0, 0), bytes(d + 1 for d in dirs))
+    assert vs[-1] == (0, 0), "direction word must close up"
     assert vs[4 ** order] == (3 ** order, 0), "base side must span 3**order"
-    return Cycle.from_vertices(vs)
+    return Cycle.from_vertices(list(vs[:-1]))
 
 
 class VerificationResult(NamedTuple):
@@ -104,18 +96,21 @@ def _box(cycle: Cycle) -> Window:
 
 
 # Edges of a placement checked as shifted bitmaps before the surviving
-# anchors are checked one by one in the forward maps. Each AND costs a pass
+# anchors are checked one by one in the code maps. Each AND costs a pass
 # over the window, and after 64 edges few anchors are left (12 at order 4),
 # so the order-6 polygon's 12,288 edges are not all ANDed.
 _BITMAP_EDGES = 64
 
-# Byte 0 or 1 becomes the ASCII digit "0" or "1".
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+# Per family F, a bytes.translate table that makes code F + 1 the ASCII
+# digit "1" and every other byte "0".
+_FORWARD_DIGITS = tuple(bytes(ord("1") if b == f + 1 else ord("0") for b in range(256))
+                        for f in range(3))
 
 
-def _bitmap(forward: bytearray) -> int:
-    """Bit v is set when byte v of the forward map is."""
-    digits = forward.translate(_ASCII_BITS)
+def _bitmap(codes: bytearray, family: int) -> int:
+    """Bit v is set when byte v of the family's code map is family + 1: a
+    stitch of the family leaves vertex v forward."""
+    digits = codes.translate(_FORWARD_DIGITS[family])
     digits.reverse()
     return int(digits, 2)
 
@@ -126,24 +121,25 @@ def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
 
     Each image edge from offset o by code c asks for a front stitch there;
     an edge with c > 3 is asked from its other end by code c - 3. Codes 1-3
-    are the forward directions of families A, B and C, so each edge is a
-    lookup in one family's forward map (design_graph.forward_maps). The
-    anchors start as every index a that keeps a + o inside the window for
-    each offset o. The first _BITMAP_EDGES edges AND in their family's
-    bitmap, built when an edge first needs it, shifted right by o, stopping
-    at the first empty mask; every surviving anchor, in increasing order,
-    then has its remaining edges looked up in the forward maps. The first
-    anchor that passes is the least vertex of its translate.
+    are the forward directions of families A, B and C, so each edge asks
+    whether byte anchor + o of one family's front code map
+    (design_graph.family_codes) is that family's forward code. The anchors
+    start as every index a that keeps a + o inside the window for each
+    offset o. The first _BITMAP_EDGES edges AND in their family's bitmap,
+    built when an edge first needs it, shifted right by o, stopping at the
+    first empty mask; every surviving anchor, in increasing order, then has
+    its remaining edges looked up in the code maps. The first anchor that
+    passes is the least vertex of its translate.
 
     A placement that wraps across a row edge of the window never passes:
-    a forward-map byte marks an in-window stitch, whose far end is the
-    vertex one step on in the edge's direction and has the next polygon
-    vertex's index, so from the anchor on every vertex of a passing
-    placement is the in-window translate of the image's.
+    code F + 1 at a vertex marks an in-window stitch whose far end, holding
+    F + 4, is the vertex one step on in the edge's direction and has the
+    next polygon vertex's index, so from the anchor on every vertex of a
+    passing placement is the in-window translate of the image's.
     """
     win = design.window
     j_count = win.j_count
-    maps = forward_maps(design, "front")
+    maps = family_codes(design, "front")
     offsets = [i * j_count + j for i, j in image.vertices]
     mask = (1 << max(len(maps[0]) - max(offsets), 0)) - 1
     # (offset, family): a front stitch of the family leaves anchor + offset forward
@@ -152,17 +148,17 @@ def _find_polygon(design: Design, image: Cycle) -> Cycle | None:
     bitmaps: list[int | None] = [None, None, None]
     for offset, family in edges[:_BITMAP_EDGES]:
         if bitmaps[family] is None:
-            bitmaps[family] = _bitmap(maps[family])
+            bitmaps[family] = _bitmap(maps[family], family)
         mask &= bitmaps[family] >> offset
         if not mask:
             return None
-    rest = [(o, maps[family]) for o, family in edges[_BITMAP_EDGES:]]
+    rest = [(o, maps[family], family + 1) for o, family in edges[_BITMAP_EDGES:]]
     # bit a of the mask is the character len(bits) - 1 - a of bin(mask)
     bits = bin(mask)
     pos = bits.rfind("1", 2)
     while pos >= 2:
         a = len(bits) - 1 - pos
-        if all(forward[a + o] for o, forward in rest):
+        if all(codes[a + o] == forward for o, codes, forward in rest):
             return Cycle((win.i_min + a // j_count, win.j_min + a % j_count), image.codes)
         pos = bits.rfind("1", 2, pos)
     return None
@@ -256,8 +252,8 @@ def verify_koch(order: int, window: Window,
       each moved line keeps its row parity exactly when its phase drops by
       2t.
     - The window spans at least the polygon's extent plus one period cell
-      in each axis (checked below), and the sub-window searched that
-      extent plus a period cell less one vertex. So any copy of the polygon
+      less one vertex in each axis (checked below), and the sub-window
+      searched is that much of it. So any copy of the polygon
       in the infinite design can be moved by a period translation to lie
       inside the sub-window, where it is a front cycle; and a front cycle
       of the sub-window is one of the infinite design, whose stitch graph
@@ -282,12 +278,12 @@ def verify_koch(order: int, window: Window,
     (a, _), (e, b) = translation_basis(koch_pattern(order, (0, 0, 0)))
     if e:
         raise AssertionError(f"the order-{order} Koch lattice is not square: E = {e}")
-    if window.i_count < box.i_count + a or window.j_count < box.j_count + b:
-        raise WindowError(
-            f"window {window} cannot hold an order-{order} polygon "
-            f"({box.i_count}x{box.j_count}) with a {(a, b)} period cell of margin")
     anchors = Window(window.i_min, window.i_min + box.i_count + a - 2,
                      window.j_min, window.j_min + box.j_count + b - 2)
+    if anchors.i_max > window.i_max or anchors.j_max > window.j_max:
+        raise WindowError(
+            f"window {window} cannot hold an order-{order} polygon "
+            f"({box.i_count}x{box.j_count}) with a {(a, b)} period cell of anchors")
 
     for cand in phase_candidates(order) if phases is None else [phases]:
         hit = find_koch(generate_design(anchors, koch_pattern(order, cand)), polygon)

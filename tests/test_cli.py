@@ -238,6 +238,21 @@ def test_verify_koch_order_five_needs_no_flag():
     assert proc.stdout == "order 5: found (3072 segments, phases 0,0,1)\n"
 
 
+def test_verify_koch_takes_the_polygon_plus_a_period_cell_less_one_vertex(tmp_path):
+    # order 2: a 13x13 polygon and a 12x12 period cell; the search reads
+    # 24x24 vertices, so 0:23:0:23 finds the default window's hit at
+    # (5, 14) and 0:22:0:22 is a usage error
+    report = tmp_path / "k2.json"
+    proc = run_cli("verify-koch", "--order", "2", "--window", "0:23:0:23",
+                   "--report", str(report))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "order 2: found (48 segments, phases 0,0,1)\n"
+    assert json.loads(report.read_text())["koch"]["matched_cycle"][0] == [5, 14]
+    proc = run_cli("verify-koch", "--order", "2", "--window", "0:22:0:22")
+    assert proc.returncode == 2
+    assert "period cell" in proc.stderr
+
+
 def test_verify_koch_usage_errors():
     assert run_cli("verify-koch", "--order", "0").returncode == 2
     assert run_cli("verify-koch", "--order", "7").returncode == 2

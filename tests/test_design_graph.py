@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
@@ -12,7 +12,7 @@ from isostitch import (Cycle, DirectionSpec, GridConvention, StitchPattern,
                        motif_signature, segment_endpoints, translation_basis,
                        walk_vertices)
 from isostitch import design_graph
-from isostitch.design_graph import _least_rotation, direction_slots, forward_maps
+from isostitch.design_graph import _least_rotation, family_codes
 from isostitch.grid import DIRECTION_INDEX, DIRECTIONS
 
 
@@ -246,23 +246,34 @@ def test_open_paths_are_half_the_vertices_with_one_stitch(specs, conv, i0, j0, w
     # each open path has two ends, the only vertices of degree 1 on its side
     design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
     for side in ("front", "back"):
-        ends = sum((a != 0) + (b != 0) == 1 for a, b in zip(*direction_slots(design, side)))
+        ends = sum((a != 0) + (b != 0) + (c != 0) == 1
+                   for a, b, c in zip(*family_codes(design, side)))
         assert 2 * len(build_components(design, side)[1]) == ends
+
+
+_HEXAGRAM_SPECS = (DirectionSpec.periodic("0"),) * 3
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(mixed_spec, mixed_spec, mixed_spec), convention,
        st.integers(-9, 9), st.integers(-9, 9),
        st.integers(0, 20), st.integers(0, 20))
-def test_forward_maps_mark_the_forward_codes_of_the_direction_slots(specs, conv, i0, j0, w, h):
-    # off-origin windows down to one-vertex strips: family f's map marks
-    # exactly the vertices that direction_slots gives code f + 1, the ones
-    # a stitch of f leaves forward
-    design = generate_design(Window(i0, i0 + w, j0, j0 + h), StitchPattern(specs, conv))
-    for side in ("front", "back"):
-        one, two = direction_slots(design, side)
-        for f, forward in enumerate(forward_maps(design, side)):
-            assert list(forward) == [int(a == f + 1 or b == f + 1) for a, b in zip(one, two)]
+@example(_HEXAGRAM_SPECS, GridConvention(), 3, -4, 0, 9)
+@example(_HEXAGRAM_SPECS, GridConvention(), -5, 2, 9, 0)
+def test_family_codes_hold_each_segment_at_both_ends(specs, conv, i0, j0, w, h):
+    # off-origin windows down to one-vertex strips: each segment of family f
+    # on a side puts f + 1 at its end at position s and f + 4 at its end at
+    # s + 1 in map f, no byte is set twice, and every other byte is 0
+    window = Window(i0, i0 + w, j0, j0 + h)
+    design = generate_design(window, StitchPattern(specs, conv))
+    for side, segments in (("front", design.front), ("back", design.back)):
+        maps = [bytearray(window.vertex_count()) for _ in range(3)]
+        for seg in segments:
+            for (i, j), code in zip(segment_endpoints(seg), (seg.family + 1, seg.family + 4)):
+                v = (i - i0) * window.j_count + j - j0
+                assert not maps[seg.family][v]
+                maps[seg.family][v] = code
+        assert list(family_codes(design, side)) == maps
 
 
 @settings(deadline=None)

@@ -11,7 +11,8 @@ from isostitch import koch_oracle
 from isostitch import (Cycle, InvalidOrderError, StitchPattern, Window, WindowError,
                        build_components, generate_design, koch_directions,
                        koch_pattern, koch_polygon, koch_window, motif_signature,
-                       period_cell, segment_endpoints, translation_basis, verify_koch)
+                       period_cell, segment_endpoints, translation_basis, verify_koch,
+                       walk_vertices)
 from isostitch.grid import DIRECTION_INDEX
 from koch_rule import replace_runs, scale_directions
 from test_design_graph import _CHIRAL, convention, mixed_spec
@@ -262,8 +263,8 @@ def test_the_default_hit_has_its_least_vertex_in_closed_form(order):
 def _point_image_walks(cycle: Cycle) -> list[list[tuple[int, int]]]:
     """The vertex lists of the cycle's images under the 12 lattice point
     symmetries, each traced from the origin."""
-    return [koch_oracle.directions_to_vertices([(r + sign * (code - 1)) % 6
-                                                for code in cycle.codes])
+    return [list(walk_vertices((0, 0), bytes((r + sign * (code - 1)) % 6 + 1
+                                             for code in cycle.codes[:-1])))
             for r in range(6) for sign in (1, -1)]
 
 
@@ -332,12 +333,14 @@ def test_koch_iterates_tool_reproduces_the_readme_table():
 
 @pytest.mark.slow
 def test_verify_order_four_peaks_at_a_few_bytes_per_window_vertex():
-    # The placement search holds three forward-stitch maps, a byte per
-    # vertex each, and up to three packed bitmaps, over the 216^2 vertices
-    # of one period cell of anchors rather than the 333^2 window: it peaks
-    # at about 2.3 bytes per window vertex, and did at 3.9 on two
-    # direction-code slots over the window. Walking every front cycle of
-    # each candidate peaked at about 26.
+    # The placement search holds three front direction-code maps, a byte
+    # per vertex each, and up to three packed bitmaps, over the 216^2 vertices
+    # of one period cell of anchors rather than the 333^2 window. The peak,
+    # about 2.8 bytes per window vertex under Python 3.11, is set by the
+    # component walk that re-checks the hit on its 109^2 box, which holds
+    # those three maps and a seen mark; when Python's free lists are
+    # cleared moves it by a few tenths. Walking every front cycle of each
+    # candidate peaked at about 26.
     window = _window(4)
     tracemalloc.start()
     try:
@@ -370,6 +373,29 @@ def test_verify_search_that_misses_reports_zero_phases(monkeypatch):
 def test_verify_rejects_too_small_window():
     with pytest.raises(WindowError):
         verify_koch(2, Window(0, 20, 0, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(-60, 60), st.integers(-60, 60), st.data())
+def test_the_least_accepted_window_agrees_with_the_walk(order, i_min, j_min, data):
+    # Off-origin windows of exactly the polygon's extent plus a period cell
+    # less one vertex per axis, the least verify_koch accepts, at the Koch
+    # phases or any phases; one vertex less on one axis is refused.
+    box = koch_oracle._box(koch_polygon(order))
+    cell = period_cell(koch_pattern(order, (0, 0, 0)))
+    window = Window(i_min, i_min + box.i_count + cell[0] - 2,
+                    j_min, j_min + box.j_count + cell[1] - 2)
+    period = koch_oracle.phase_period(order)
+    phases = data.draw(st.one_of(st.just(koch_oracle.KOCH_PHASES),
+                                 st.tuples(*[st.integers(0, period - 1)] * 3)))
+    res = verify_koch(order, window, phases)
+    hit = _walk_search(order, window, phases)
+    assert res.found == (hit is not None)
+    assert res.matched_cycle == hit
+    narrower = data.draw(st.sampled_from([window._replace(i_max=window.i_max - 1),
+                                          window._replace(j_max=window.j_max - 1)]))
+    with pytest.raises(WindowError):
+        verify_koch(order, narrower, phases)
 
 
 def test_verify_rejects_bad_order():

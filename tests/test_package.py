@@ -32,7 +32,7 @@ def test_every_module_of_the_table_is_a_package_attribute(module):
 
 @pytest.mark.parametrize("name", ["no_such_name", "LineId", "lines_through", "is_line_present",
                                   "Word", "concat", "reverse", "scale_directions",
-                                  "replace_runs"])
+                                  "replace_runs", "direction_slots", "forward_maps"])
 def test_an_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(isostitch, name)
